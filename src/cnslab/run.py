@@ -20,8 +20,8 @@ from .diagnostics import (
     make_observer,
 )
 from .scenarios import build_scenario, stability_difference_norm
-from .solver import FlowState, integrate, snapshot_steps, step
-from .spectral import make_grid
+from .solver import CFLError, FlowState, fault_record, integrate, snapshot_steps, step
+from .spectral import PositivityFault, make_grid
 
 __all__ = ["execute_run", "run", "resume_run", "run_pair"]
 
@@ -33,7 +33,13 @@ def run(runconfig: RunConfig, outdir=None):
 
 
 def _fit_summary(series, runconfig, grid):
-    window = runconfig.fit_window or default_fit_window(grid)
+    """Decay fit over the configured window. Without one, the default window
+    is used, and a run that ends before it opens records no fit."""
+    window = runconfig.fit_window
+    if window is None:
+        window = default_fit_window(grid)
+        if window[0] >= runconfig.solver.T:
+            return {}
     fits = {}
     key = runconfig.fit_norm
     try:
@@ -159,15 +165,13 @@ def run_pair(runconfig, ref_state, pert_state, pair_norm_p, pair_R0):
     d_prev = dissipation_rate(ref_state, params)
     record(ref_state, pert_state, 0, diss_cum)
     ref, pert = ref_state, pert_state
-    from .solver import CFLError
-    from .spectral import PositivityFault
-
     for istep in range(1, total + 1):
         try:
             ref = step(ref, cfg, params)
             pert = step(pert, cfg, params)
         except (PositivityFault, CFLError) as exc:
-            fault = {"type": type(exc).__name__, "time": ref.t, "message": str(exc)}
+            # pert has not stepped yet, whichever twin faulted
+            fault = fault_record(exc, pert.t)
             break
         d_new = dissipation_rate(ref, params)
         diss_cum += 0.5 * cfg.dt * (d_prev + d_new)
@@ -231,30 +235,23 @@ def resume_run(runconfig: RunConfig, checkpoint_path, outdir=None):
     chash = config_hash(runconfig.raw_text)
     import dataclasses
 
-    remaining = runconfig.solver.T - state.t
+    t0 = state.t
+    remaining = runconfig.solver.T - t0
     if remaining <= 0:
         raise ValueError(
-            f"checkpoint time {state.t:g} already at or beyond horizon {runconfig.solver.T:g}"
+            f"checkpoint time {t0:g} already at or beyond horizon {runconfig.solver.T:g}"
         )
-    # re-anchor the horizon so snapshot indices count from the resume point
+    # re-anchor the horizon so snapshot indices count from the resume point;
+    # the state keeps its absolute time, so records and faults carry it too
     cfg = dataclasses.replace(runconfig.solver, T=remaining)
-    shifted = FlowState(0.0, state.a, state.u, runconfig.params)
-    series = DiagnosticSeries(metadata={"config_hash": chash, "resumed_from": float(state.t)})
-    observe_inner = make_observer(runconfig.params, runconfig.diagnostics, series)
-
-    t0 = state.t
-
-    def observe(s, extras):
-        # present the true absolute time in the records, reusing cached fields
-        s_abs = FlowState(t0 + s.t, s.a, s.u, s.params, validate=False)
-        s_abs._cache = s._cache
-        return observe_inner(s_abs, extras)
-
-    _, final_state, fault = integrate(shifted, cfg, runconfig.params, observe=observe)
+    series = DiagnosticSeries(metadata={"config_hash": chash, "resumed_from": float(t0)})
+    observe = make_observer(runconfig.params, runconfig.diagnostics, series)
+    state0 = FlowState(t0, state.a, state.u, runconfig.params)
+    _, final_state, fault = integrate(state0, cfg, runconfig.params, observe=observe)
     series.fault = fault
     summary = {
         "resumed_from": t0,
-        "final_time": t0 + final_state.t,
+        "final_time": final_state.t,
         "fault": fault,
         "config": runconfig.echo(),
         "config_hash": chash,
@@ -264,9 +261,7 @@ def resume_run(runconfig: RunConfig, checkpoint_path, outdir=None):
         outdir.mkdir(parents=True, exist_ok=True)
         cio.write_series(outdir / "series.csv", series, chash)
         cio.write_summary(outdir / "summary.json", _jsonable(summary))
-        cio.write_checkpoint(outdir / "final.ckpt",
-                             FlowState(t0 + final_state.t, final_state.a,
-                                       final_state.u, runconfig.params), chash)
+        cio.write_checkpoint(outdir / "final.ckpt", final_state, chash)
     return series, summary
 
 

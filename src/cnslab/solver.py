@@ -18,7 +18,10 @@ from .spectral import (
     Field,
     VectorField,
     PositivityFault,
-    _pdata,
+    _forward_half,
+    _full_from_half,
+    _inverse_real,
+    _real_samples,
     _sdata,
     dealias,
 )
@@ -124,7 +127,7 @@ class FlowState:
     @property
     def rho_phys(self) -> np.ndarray:
         if "rho" not in self._cache:
-            self._cache["rho"] = 1.0 + np.real(_pdata(self.a))
+            self._cache["rho"] = 1.0 + _real_samples(self.a)
         return self._cache["rho"]
 
     @property
@@ -186,31 +189,27 @@ class FlowState:
         return math.sqrt(g) * self.rho_max ** ((g - 1.0) / 2.0)
 
 
-def _fft_forward(grid, samples):
-    import scipy.fft as _f
-
-    return _f.fftn(np.asarray(samples, dtype=np.complex128)) / grid.n**grid.dim
-
-
 def rhs_full(state: FlowState, params: PhysicalParams) -> RhsResult:
     """Nonconservative-form right-hand side with dealiased products:
 
     da/dt = -div((1+a) u)
     du/dt = -(u.grad)u + (1/rho)(mu Lap u + (lambda+mu) grad div u)
             - (1/rho) grad(rho^gamma)
+
+    Every transform and product runs on the half spectrum of the grid's
+    plan; only the outputs are filled in to the full spectrum.
     """
     grid = state.grid
+    plan = grid.plan
     mu, lam, gamma = params.mu, params.lam, params.gamma
-    mask = grid.dealias_mask
-    import scipy.fft as _f
+    mask, k, ik = plan.mask, plan.k, plan.ik
+    h = mask.shape[-1]
 
-    nfac = grid.n**grid.dim
-    a_hat = np.where(mask, _sdata(state.a), 0.0)
-    u_hat = [np.where(mask, _sdata(c), 0.0) for c in state.u.components]
+    a_hat = _sdata(state.a)[..., :h] * mask
+    u_hat = [_sdata(c)[..., :h] * mask for c in state.u.components]
 
-    a_p = np.real(_f.ifftn(a_hat)) * nfac
-    u_p = [np.real(_f.ifftn(uh)) * nfac for uh in u_hat]
-    rho_p = 1.0 + a_p
+    u_p = [_inverse_real(grid, uh) for uh in u_hat]
+    rho_p = 1.0 + _inverse_real(grid, a_hat)
     if np.min(rho_p) <= 0.0:
         raise PositivityFault(
             f"density lost positivity at t={state.t:g} (min rho = {np.min(rho_p):.6g})",
@@ -218,40 +217,30 @@ def rhs_full(state: FlowState, params: PhysicalParams) -> RhsResult:
             time=state.t,
         )
 
-    ik = [1j * np.where(grid.nyquist_free, grid.k[ax], 0.0) for ax in range(grid.dim)]
-
     # mass equation: -div((1+a) u); spectral divergence has exactly zero mean
-    da_hat = np.zeros(grid.shape, dtype=np.complex128)
+    da_hat = np.zeros(mask.shape, dtype=np.complex128)
     for ax in range(grid.dim):
-        flux_hat = np.where(mask, _f.fftn(rho_p * u_p[ax]) / nfac, 0.0)
-        da_hat -= ik[ax] * flux_hat
-    da = Field(grid, da_hat, "spectral")
+        da_hat -= ik[ax] * _forward_half(rho_p * u_p[ax])
+    da_hat *= mask
 
     # convective term (u.grad)u
-    conv = []
+    conv_hat = []
     for i in range(grid.dim):
-        acc = np.zeros(grid.shape)
-        for j in range(grid.dim):
-            dju_i = np.real(_f.ifftn(ik[j] * u_hat[i])) * nfac
-            acc += u_p[j] * dju_i
-        conv.append(Field(grid, np.where(mask, _f.fftn(acc) / nfac, 0.0), "spectral"))
-    conv = VectorField(conv)
+        acc = sum(u_p[j] * _inverse_real(grid, ik[j] * u_hat[i]) for j in range(grid.dim))
+        conv_hat.append(_forward_half(acc) * mask)
 
     # viscous + pressure force, then the 1/rho weight
-    k_dot_u = sum(grid.k[ax] * u_hat[ax] for ax in range(grid.dim))
-    frak_hat = np.where(mask, _f.fftn(rho_p**gamma - 1.0) / nfac, 0.0)
+    k_dot_u = sum(k[ax] * u_hat[ax] for ax in range(grid.dim))
+    frak_hat = _forward_half(rho_p**gamma - 1.0) * mask
     inv_rho = 1.0 / rho_p
     du = []
     for i in range(grid.dim):
-        force_hat = (
-            -mu * grid.k2 * u_hat[i]
-            - (lam + mu) * grid.k[i] * k_dot_u
-            - ik[i] * frak_hat
-        )
-        force_p = np.real(_f.ifftn(force_hat)) * nfac
-        acc_hat = np.where(mask, _f.fftn(inv_rho * force_p) / nfac, 0.0)
-        du.append(Field(grid, acc_hat - _sdata(conv.components[i]), "spectral"))
-    return RhsResult(da=da, du=VectorField(du), conv=conv)
+        force_hat = -mu * plan.k2 * u_hat[i] - (lam + mu) * k[i] * k_dot_u - ik[i] * frak_hat
+        acc_hat = _forward_half(inv_rho * _inverse_real(grid, force_hat)) * mask
+        du.append(Field(grid, _full_from_half(grid, acc_hat - conv_hat[i]), "spectral"))
+    conv = [Field(grid, _full_from_half(grid, c), "spectral") for c in conv_hat]
+    da = Field(grid, _full_from_half(grid, da_hat), "spectral")
+    return RhsResult(da=da, du=VectorField(du), conv=VectorField(conv))
 
 
 def rhs(state: FlowState, params: PhysicalParams):
@@ -354,9 +343,7 @@ def _advance(state: FlowState, dt: float, config: SolverConfig, params: Physical
 
 
 def cfl_dt_bound(state: FlowState, config: SolverConfig) -> float:
-    umax = float(
-        np.max(np.sqrt(sum(np.real(_pdata(c)) ** 2 for c in state.u.components)))
-    )
+    umax = float(np.max(np.sqrt(sum(_real_samples(c) ** 2 for c in state.u.components))))
     return config.cfl_target * state.grid.dx / (umax + state.sound_speed_max())
 
 
@@ -413,6 +400,13 @@ def snapshot_steps(config: SolverConfig) -> list[int]:
     return sorted(picks)
 
 
+def fault_record(exc, t: float) -> dict:
+    """Fault descriptor of a runtime fault: the time the exception carries,
+    else t, the time of the state being stepped."""
+    time = getattr(exc, "time", None)
+    return {"type": type(exc).__name__, "time": t if time is None else time, "message": str(exc)}
+
+
 def integrate(
     state0: FlowState,
     config: SolverConfig,
@@ -450,11 +444,7 @@ def integrate(
         try:
             state = step(state, config, params)
         except (PositivityFault, CFLError) as exc:
-            fault = {
-                "type": type(exc).__name__,
-                "time": getattr(exc, "time", None) or state.t,
-                "message": str(exc),
-            }
+            fault = fault_record(exc, state.t)
             break
         d_new = dissipation_rate(state, params)
         diss_cum += 0.5 * config.dt * (d_prev + d_new)

@@ -4,6 +4,15 @@ spectral differential operators, dealiased products and L^p norms.
 All spectral coefficients follow the Fourier-series convention
 f(x) = sum_k fhat(k) exp(i k.x), so the k=0 coefficient is the mean of the
 field and a unit sine carries two conjugate coefficients of magnitude 1/2.
+
+Fields always store the full spectrum. Real samples are transformed by one
+real pair: `_forward_real` runs `rfftn` and rebuilds the other half of the
+spectrum by Hermitian symmetry, and `_inverse_real` runs `irfftn` on the
+half `coeffs[..., :n//2+1]`. Code that works on the half spectrum itself (the
+solver's right-hand side) takes its multipliers from `Grid.plan`, a
+`HalfPlan` built on first use and owned by the grid: the half-spectrum `k`,
+`k^2`, 2/3-rule mask, `ik` with the Nyquist rows zeroed, and the gather
+index of the Hermitian fill. Complex samples keep the complex `fftn`/`ifftn`.
 """
 
 from __future__ import annotations
@@ -34,7 +43,6 @@ __all__ = [
     "lebesgue_norm",
     "sobolev_norm",
     "mean_value",
-    "l2_inner",
     "vector_from_components",
 ]
 
@@ -76,8 +84,9 @@ class PositivityFault(RuntimeError):
 class Grid:
     """Uniform periodic box with cached wavenumber lattice.
 
-    Instances are immutable and hashed by identity so they can key caches of
-    derived spectral multipliers.
+    Instances are immutable, apart from the half-spectrum plan built on
+    first use, and hashed by identity so they can key caches of derived
+    spectral multipliers.
     """
 
     __slots__ = (
@@ -95,6 +104,7 @@ class Grid:
         "nyquist_free",
         "kmin",
         "kmax",
+        "_plan",
     )
 
     def __init__(self, n: int, length: float, dim: int):
@@ -140,10 +150,18 @@ class Grid:
         self.kmax = float(np.max(self.kmag))
         for arr in (self.k1, self.k2, self.kmag, self.dealias_mask, self.nyquist_free):
             arr.setflags(write=False)
+        self._plan = None
 
     @property
     def shape(self):
         return (self.n,) * self.dim
+
+    @property
+    def plan(self) -> "HalfPlan":
+        """Half-spectrum multipliers of this grid, built on first use."""
+        if self._plan is None:
+            self._plan = HalfPlan(self)
+        return self._plan
 
     def __repr__(self):
         return f"Grid(n={self.n}, length={self.length:g}, dim={self.dim})"
@@ -164,6 +182,29 @@ class Grid:
 
 def make_grid(n_per_dim: int, box_length: float, dim: int = 3) -> Grid:
     return Grid(n_per_dim, box_length, dim)
+
+
+class HalfPlan:
+    """Multipliers of one grid on the half spectrum of `rfftn` (last axis
+    cut to its first n//2+1 modes), and the gather index that rebuilds the
+    full spectrum from the half by Hermitian symmetry."""
+
+    __slots__ = ("k", "k2", "mask", "ik", "gather")
+
+    def __init__(self, grid: Grid):
+        n, h = grid.n, grid.n // 2 + 1
+        half = (Ellipsis, slice(0, h))
+        self.k = tuple(np.ascontiguousarray(a[half]) for a in grid.k)
+        self.k2 = np.ascontiguousarray(grid.k2[half])
+        self.mask = np.ascontiguousarray(grid.dealias_mask[half])
+        nyq_ok = grid.nyquist_free[half]
+        self.ik = tuple(1j * np.where(nyq_ok, a, 0.0) for a in self.k)
+        # full[m0, .., m] for m >= h is conj(half[-m0, .., n - m]), indices mod n
+        neg = (-np.arange(n)) % n
+        rows = np.ix_(*([neg] * (grid.dim - 1) + [n - np.arange(h, n)]))
+        self.gather = np.ravel_multi_index(rows, self.k2.shape)
+        for arr in (*self.k, self.k2, self.mask, *self.ik, self.gather):
+            arr.setflags(write=False)
 
 
 class Field:
@@ -286,12 +327,47 @@ def _check_same_grid(f, g):
         raise GridMismatchError(f"grid mismatch: {f.grid!r} vs {g.grid!r}")
 
 
+def _forward_half(samples: np.ndarray) -> np.ndarray:
+    """Half-spectrum coefficients of real samples."""
+    return _fft.rfftn(samples, norm="forward")
+
+
+def _full_from_half(grid: Grid, half: np.ndarray) -> np.ndarray:
+    """Full spectrum whose first n//2+1 modes on the last axis are `half`,
+    the rest filled in by Hermitian symmetry."""
+    h = half.shape[-1]
+    full = np.empty(grid.shape, dtype=np.complex128)
+    full[..., :h] = half
+    np.conjugate(np.take(half, grid.plan.gather), out=full[..., h:])
+    return full
+
+
+def _forward_real(grid: Grid, samples: np.ndarray) -> np.ndarray:
+    """Full-spectrum coefficients of real samples."""
+    return _full_from_half(grid, _forward_half(samples))
+
+
+def _inverse_real(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
+    """Real samples of Hermitian coefficients, given in full or half layout."""
+    return _fft.irfftn(coeffs[..., : grid.n // 2 + 1], s=grid.shape, norm="forward")
+
+
+def _real_samples(f: Field) -> np.ndarray:
+    """Samples of a field known to be real, without the reality test of _pdata."""
+    if f.rep == PHYSICAL:
+        return np.real(f.data)
+    return _inverse_real(f.grid, f.data)
+
+
 def _sdata(f: Field) -> np.ndarray:
     """Spectral coefficients of f (computing the transform if needed)."""
     if f.rep == SPECTRAL:
         return f.data
     if f._alt is None:
-        out = _fft.fftn(np.asarray(f.data, dtype=np.complex128)) / f.grid.n**f.grid.dim
+        if np.iscomplexobj(f.data):
+            out = _fft.fftn(np.asarray(f.data, dtype=np.complex128)) / f.grid.n**f.grid.dim
+        else:
+            out = _forward_real(f.grid, f.data)
         out.setflags(write=False)
         f._alt = out
     return f._alt
@@ -443,14 +519,6 @@ def lebesgue_norm(f, p) -> float:
 def mean_value(f: Field) -> float:
     v = _sdata(f)[(0,) * f.grid.dim]
     return float(v.real) if abs(v.imag) <= _REALITY_TOL * (abs(v) + 1.0) else complex(v)
-
-
-def l2_inner(f, g) -> float:
-    """Real L^2 inner product; fields or vector fields."""
-    if isinstance(f, VectorField):
-        return sum(l2_inner(a, b) for a, b in zip(f.components, g.components))
-    _check_same_grid(f, g)
-    return float(np.sum(_pdata(f) * np.conj(_pdata(g))).real * _cell(f.grid))
 
 
 def sobolev_norm(f, s: float, homogeneous: bool = False) -> float:

@@ -2,6 +2,7 @@
 emitted files, and the CLI surface with its exit codes."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -108,6 +109,20 @@ class TestExecuteRun:
         assert summary["twin_diff_max"] is not None
         back = read_series(tmp_path / "series.csv")
         assert "twin_diff_total" in back.columns
+
+
+class TestFitSummary:
+    def test_default_window_after_horizon_records_no_fit(self):
+        demo = (Path(__file__).parent.parent / "configs" / "smalldata_demo.txt").read_text()
+        cfg = parse_config(demo.replace("T = 5.0", "T = 0.5"))
+        _, summary = execute_run(cfg)
+        assert summary["fits"] == {}
+
+    def test_explicit_window_reports_its_error(self):
+        cfg = parse_config(SMALL_CONFIG.replace("lyapunov = calibrate",
+                                                "lyapunov = calibrate\nfit_window = 5, 8"))
+        _, summary = execute_run(cfg)
+        assert "need at least" in summary["fits"]["l2_au"]["error"]
 
 
 class TestCli:

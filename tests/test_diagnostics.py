@@ -140,6 +140,18 @@ class TestLyapunov:
         assert res.X > 0.0
         assert res.ratio > 0.0
 
+    def test_calibration_finite_for_nearly_constant_density(self, grid16):
+        def a4(amp):
+            a = field_from_function(grid16, lambda x, y, z: amp * np.cos(x))
+            return calibrate_lyapunov(FlowState(0.0, a, VectorField.zeros(grid16), PARAMS),
+                                      PARAMS).A4
+
+        ref = a4(1e-4)
+        for amp in (1e-12, 1e-10, 1e-9, 1e-8, 1e-6):
+            got = a4(amp)
+            assert math.isfinite(got)
+            assert abs(got - ref) <= 1e-3
+
 
 class TestLowFreqMass:
     def test_equilibrium(self, grid16):

@@ -1,9 +1,12 @@
 """Right-hand side structure, the compatibility value of u_t, IMEX stepping,
 conservation and fault behavior of the integrator."""
 
+import sys
+
 import numpy as np
 import pytest
 
+from cnslab.helmholtz import convective_term
 from cnslab.solver import (
     CFLError,
     FlowState,
@@ -13,13 +16,19 @@ from cnslab.solver import (
     cfl_dt_bound,
     integrate,
     rhs,
+    rhs_full,
     snapshot_steps,
     step,
 )
 from cnslab.spectral import (
     Field,
+    HalfPlan,
     PositivityFault,
     VectorField,
+    _sdata,
+    constant_field,
+    dealiased_product,
+    divergence,
     field_from_function,
     lebesgue_norm,
     make_grid,
@@ -36,6 +45,40 @@ def _small_state(grid, eps=1e-2, seed=0):
         [eps * random_field(grid, seed=seed + 10 + i, band=(0.5, 3.0)) for i in range(3)]
     )
     return FlowState(0.0, a, u, PARAMS)
+
+
+def _vacuum_state():
+    # near-vacuum density with divergence pulling it down at the minimum
+    grid = make_grid(16, 2 * np.pi, 3)
+    a = field_from_function(grid, lambda x, y, z: 0.9 * np.cos(x))
+    u = VectorField([field_from_function(grid, lambda x, y, z: -np.sin(x)),
+                     Field.zeros(grid), Field.zeros(grid)])
+    return FlowState(0.0, a, u, PARAMS)
+
+
+# the run settings of _vacuum_state, for resume_run (which reads no scenario)
+_VACUUM_CONFIG = """\
+[grid]
+n = 16
+L = 6.283185307179586
+dim = 3
+
+[params]
+mu = 1.0
+lambda = 0.0
+gamma = 1.4
+
+[solver]
+dt = 0.05
+T = 10.0
+cadence = uniform:0.5
+
+[scenario]
+kind = equilibrium_perturbation
+epsilon = 0.01
+p0 = 1.0
+seed = 0
+"""
 
 
 class TestParams:
@@ -119,6 +162,41 @@ class TestRhs:
         from cnslab.spectral import mean_value
 
         assert abs(mean_value(da)) < 1e-16
+
+
+class TestRhsFull:
+    @staticmethod
+    def _rel(got, ref):
+        diff = max(np.max(np.abs(_sdata(g) - _sdata(r))) for g, r in zip(got, ref))
+        return diff / max(np.max(np.abs(_sdata(r))) for r in ref)
+
+    def test_matches_public_operators(self, grid16):
+        st = _small_state(grid16, eps=0.2, seed=5)
+        r = rhs_full(st, PARAMS)
+        assert self._rel(r.conv, convective_term(st.u, st.u)) <= 1e-12
+        rho = constant_field(grid16, 1.0) + st.a
+        flux = VectorField([dealiased_product(rho, c) for c in st.u])
+        assert self._rel([r.da], [-divergence(flux)]) <= 1e-12
+
+    def test_plan_lives_on_the_grid(self):
+        def cache_sizes():
+            return {
+                (name, attr): len(val)
+                for name, mod in list(sys.modules.items())
+                if name.startswith("cnslab")
+                for attr, val in vars(mod).items()
+                if isinstance(val, (dict, list, set)) and not attr.startswith("__")
+            }
+
+        grid = make_grid(16, 2 * np.pi, 3)
+        st = _small_state(grid, seed=6)
+        before = cache_sizes()
+        rhs_full(st, PARAMS)
+        plan = grid._plan
+        assert isinstance(plan, HalfPlan)
+        rhs_full(FlowState(0.0, st.a, st.u, PARAMS), PARAMS)
+        assert grid._plan is plan
+        assert cache_sizes() == before
 
 
 class TestAdmissibleUt:
@@ -254,18 +332,30 @@ class TestIntegrate:
         assert snaps == sorted(set(snaps))
 
     def test_positivity_fault_annotated(self):
-        # near-vacuum density with divergence pulling it down at the minimum
-        grid = make_grid(16, 2 * np.pi, 3)
-        a = field_from_function(grid, lambda x, y, z: 0.9 * np.cos(x))
-        u = VectorField([field_from_function(grid, lambda x, y, z: -np.sin(x)),
-                         Field.zeros(grid), Field.zeros(grid)])
-        st = FlowState(0.0, a, u, PARAMS)
+        st = _vacuum_state()
         cfg = SolverConfig(dt=0.05, T=10.0, cadence="uniform:0.5")
         records, fin, fault = integrate(st, cfg, PARAMS, observe=lambda s, e: s.t)
         assert fault is not None
         assert fault["type"] == "PositivityFault"
         assert fault["time"] <= 10.0
         assert len(records) >= 1  # partial series kept
+
+    def test_resumed_fault_carries_absolute_time(self, tmp_path):
+        from cnslab.config import parse_config
+        from cnslab.io import write_checkpoint
+        from cnslab.run import resume_run
+
+        st = _vacuum_state()
+        cfg = SolverConfig(dt=0.05, T=10.0, cadence="uniform:0.5")
+        _, _, fault = integrate(st, cfg, PARAMS)
+        assert fault is not None and fault["time"] > 0.1
+
+        _, mid, _ = integrate(st, SolverConfig(dt=0.05, T=0.1, cadence="uniform:0.5"), PARAMS)
+        write_checkpoint(tmp_path / "mid.ckpt", mid, "")
+        runcfg = parse_config(_VACUUM_CONFIG)
+        _, summary = resume_run(runcfg, tmp_path / "mid.ckpt")
+        assert summary["fault"]["type"] == fault["type"]
+        assert abs(summary["fault"]["time"] - fault["time"]) <= 1e-9
 
     def test_strict_mode_validates_params(self, grid16):
         st = _small_state(grid16)

@@ -26,6 +26,7 @@ from cnslab.spectral import (
     to_physical,
     to_spectral,
 )
+from cnslab.spectral import _forward_real, _inverse_real
 
 
 class TestGrid:
@@ -97,6 +98,25 @@ class TestTransforms:
         assert to_physical(f) is f
         s = to_spectral(f)
         assert to_spectral(s) is s
+
+
+class TestRealTransformPair:
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("n", [8, 12, 16, 24])
+    def test_matches_complex_transforms(self, n, dim):
+        grid = make_grid(n, 2 * np.pi, dim)
+        rng = np.random.default_rng(n + dim)
+        samples = rng.standard_normal(grid.shape)
+        ref = np.fft.fftn(samples) / n**dim
+        got = _forward_real(grid, samples)
+        assert got.shape == grid.shape
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+        coeffs = np.fft.fftn(rng.standard_normal(grid.shape)) / n**dim
+        ref_back = np.real(np.fft.ifftn(coeffs)) * n**dim
+        back = _inverse_real(grid, coeffs)
+        assert back.shape == grid.shape and back.dtype == np.float64
+        assert np.max(np.abs(back - ref_back)) <= 1e-14 * np.max(np.abs(ref_back))
 
 
 class TestOperators:
