@@ -81,6 +81,6 @@ from .scenarios import (
     stability_pair,
 )
 from .config import ConfigError, RunConfig, parse_config
-from .run import execute_run, resume_run, run
+from .run import execute_run, resume_run
 
 __version__ = "0.1.0"

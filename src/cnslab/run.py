@@ -1,5 +1,6 @@
 """Run orchestration: build the scenario, integrate with diagnostics at the
-snapshot cadence, difference twin runs for the stability experiment, and emit
+snapshot cadence (the stability experiment steps a twin pair in lockstep and
+differences it), continue a checkpoint on the same path, and emit
 series/summary/checkpoint/plot outputs."""
 
 from __future__ import annotations
@@ -20,16 +21,10 @@ from .diagnostics import (
     make_observer,
 )
 from .scenarios import build_scenario, stability_difference_norm
-from .solver import CFLError, FlowState, fault_record, integrate, snapshot_steps, step
-from .spectral import PositivityFault, make_grid
+from .solver import FlowState, integrate, step  # noqa: F401  (perfbench/tracing.py wraps run.step)
+from .spectral import make_grid
 
-__all__ = ["execute_run", "run", "resume_run", "run_pair"]
-
-
-def run(runconfig: RunConfig, outdir=None):
-    """Integrate the configured scenario to its horizon and return
-    (DiagnosticSeries, summary dict); files are written when outdir is given."""
-    return execute_run(runconfig, outdir)
+__all__ = ["execute_run", "resume_run", "run_pair"]
 
 
 def _fit_summary(series, runconfig, grid):
@@ -85,31 +80,37 @@ def _conlf_witness(series, runconfig):
 
 
 def execute_run(runconfig: RunConfig, outdir=None):
+    """Integrate the configured scenario to its horizon and return
+    (DiagnosticSeries, summary dict); files are written when outdir is given."""
     chash = config_hash(runconfig.raw_text)
     grid = make_grid(runconfig.grid_n, runconfig.grid_L, runconfig.grid_dim)
     built = build_scenario(runconfig.scenario, grid, runconfig.params)
-
-    on_snapshot = None
-    if (
-        outdir is not None
-        and runconfig.checkpoint_every > 0
-        and "checkpoint" in runconfig.out_formats
-    ):
-        ckpt_dir = Path(outdir)
-        ckpt_dir.mkdir(parents=True, exist_ok=True)
-        counter = {"n": 0}
-
-        def on_snapshot(state, istep):
-            if counter["n"] % runconfig.checkpoint_every == 0 and istep > 0:
-                cio.write_checkpoint(ckpt_dir / f"step_{istep:08d}.ckpt", state, chash)
-            counter["n"] += 1
-
     if runconfig.scenario.kind == "stability_pair":
         series, summary = _run_stability(runconfig, built, chash)
     else:
-        series, summary = _run_single(
-            runconfig, built.state, built.records, chash, on_snapshot
+        series, summary = _run_single(runconfig, built.state, built.records, chash, outdir)
+    return _finish(runconfig, series, summary, chash, outdir)
+
+
+def resume_run(runconfig: RunConfig, checkpoint_path, outdir=None):
+    """Continue a checkpointed state to the configured horizon. The state keeps
+    its absolute time, so its rows fall on the snapshot times of an
+    uninterrupted run; the outputs are those of `execute_run`."""
+    state, _saved_hash = cio.read_checkpoint(checkpoint_path)
+    t0 = state.t
+    if t0 >= runconfig.solver.T:
+        raise ValueError(
+            f"checkpoint time {t0:g} already at or beyond horizon {runconfig.solver.T:g}"
         )
+    chash = config_hash(runconfig.raw_text)
+    state0 = FlowState(t0, state.a, state.u, runconfig.params)
+    series, summary = _run_single(runconfig, state0, {}, chash, outdir)
+    series.metadata["resumed_from"] = t0
+    summary["resumed_from"] = t0
+    return _finish(runconfig, series, summary, chash, outdir)
+
+
+def _finish(runconfig, series, summary, chash, outdir):
     summary["config"] = runconfig.echo()
     summary["config_hash"] = chash
     if outdir is not None:
@@ -117,13 +118,33 @@ def execute_run(runconfig: RunConfig, outdir=None):
     return series, summary
 
 
-def _run_single(runconfig, state0, scenario_records, chash, on_snapshot=None):
-    series = DiagnosticSeries(metadata={"config_hash": chash})
-    series.metadata["scenario"] = dict(scenario_records)
+def _checkpointer(runconfig, chash, outdir):
+    """on_snapshot hook writing every checkpoint_every-th snapshot after the
+    first, or None when the run writes no intermediate checkpoints."""
+    if (
+        outdir is None
+        or runconfig.checkpoint_every <= 0
+        or "checkpoint" not in runconfig.out_formats
+    ):
+        return None
+    ckpt_dir = Path(outdir)
+    ckpt_dir.mkdir(parents=True, exist_ok=True)
+    counter = {"n": 0}
+
+    def on_snapshot(state, istep):
+        if counter["n"] % runconfig.checkpoint_every == 0 and counter["n"] > 0:
+            cio.write_checkpoint(ckpt_dir / f"step_{istep:08d}.ckpt", state, chash)
+        counter["n"] += 1
+
+    return on_snapshot
+
+
+def _run_single(runconfig, state0, scenario_records, chash, outdir=None):
+    series = DiagnosticSeries(metadata={"config_hash": chash, "scenario": dict(scenario_records)})
     observe = make_observer(runconfig.params, runconfig.diagnostics, series)
     _, final_state, fault = integrate(
         state0, runconfig.solver, runconfig.params, observe=observe,
-        on_snapshot=on_snapshot,
+        on_snapshot=_checkpointer(runconfig, chash, outdir),
     )
     series.fault = fault
     summary = {
@@ -141,43 +162,23 @@ def _run_single(runconfig, state0, scenario_records, chash, on_snapshot=None):
 
 def run_pair(runconfig, ref_state, pert_state, pair_norm_p, pair_R0):
     """Integrate reference and perturbed states in lockstep, recording the
-    perturbation-size norm of their difference at the snapshot cadence."""
-    cfg, params = runconfig.solver, runconfig.params
-    if cfg.strict_mode:
-        params.validate_strict()
+    reference diagnostics and the perturbation-size norm of their difference
+    at the snapshot cadence."""
     series = DiagnosticSeries()
-    observe = make_observer(params, runconfig.diagnostics, series)
+    observe_ref = make_observer(runconfig.params, runconfig.diagnostics, series)
     diffs = []
-    total = int(round(cfg.T / cfg.dt))
-    snaps = set(snapshot_steps(cfg))
-    fault = None
 
-    def record(ref, pert, istep, diss_cum):
-        observe(ref, {"diss_cum": diss_cum, "step": istep})
+    def observe(states, extras):
+        ref, pert = states
+        observe_ref(ref, extras)
         parts = stability_difference_norm(
             pert.a - ref.a, pert.u - ref.u, pair_norm_p, pair_R0
         )
         diffs.append((ref.t, parts))
 
-    from .solver import dissipation_rate
-
-    diss_cum = 0.0
-    d_prev = dissipation_rate(ref_state, params)
-    record(ref_state, pert_state, 0, diss_cum)
-    ref, pert = ref_state, pert_state
-    for istep in range(1, total + 1):
-        try:
-            ref = step(ref, cfg, params)
-            pert = step(pert, cfg, params)
-        except (PositivityFault, CFLError) as exc:
-            # pert has not stepped yet, whichever twin faulted
-            fault = fault_record(exc, pert.t)
-            break
-        d_new = dissipation_rate(ref, params)
-        diss_cum += 0.5 * cfg.dt * (d_prev + d_new)
-        d_prev = d_new
-        if istep in snaps:
-            record(ref, pert, istep, diss_cum)
+    _, _, fault = integrate(
+        (ref_state, pert_state), runconfig.solver, runconfig.params, observe=observe
+    )
     series.fault = fault
     return series, diffs, fault
 
@@ -227,42 +228,6 @@ def _emit(runconfig, series, summary, outdir, chash):
                 label=f"t  {key}",
                 config_hash=chash,
             )
-
-
-def resume_run(runconfig: RunConfig, checkpoint_path, outdir=None):
-    """Continue a checkpointed state to the configured horizon."""
-    state, _saved_hash = cio.read_checkpoint(checkpoint_path)
-    chash = config_hash(runconfig.raw_text)
-    import dataclasses
-
-    t0 = state.t
-    remaining = runconfig.solver.T - t0
-    if remaining <= 0:
-        raise ValueError(
-            f"checkpoint time {t0:g} already at or beyond horizon {runconfig.solver.T:g}"
-        )
-    # re-anchor the horizon so snapshot indices count from the resume point;
-    # the state keeps its absolute time, so records and faults carry it too
-    cfg = dataclasses.replace(runconfig.solver, T=remaining)
-    series = DiagnosticSeries(metadata={"config_hash": chash, "resumed_from": float(t0)})
-    observe = make_observer(runconfig.params, runconfig.diagnostics, series)
-    state0 = FlowState(t0, state.a, state.u, runconfig.params)
-    _, final_state, fault = integrate(state0, cfg, runconfig.params, observe=observe)
-    series.fault = fault
-    summary = {
-        "resumed_from": t0,
-        "final_time": final_state.t,
-        "fault": fault,
-        "config": runconfig.echo(),
-        "config_hash": chash,
-    }
-    if outdir is not None:
-        outdir = Path(outdir)
-        outdir.mkdir(parents=True, exist_ok=True)
-        cio.write_series(outdir / "series.csv", series, chash)
-        cio.write_summary(outdir / "summary.json", _jsonable(summary))
-        cio.write_checkpoint(outdir / "final.ckpt", final_state, chash)
-    return series, summary
 
 
 def _jsonable(obj):

@@ -276,17 +276,28 @@ def _viscous_exponential(grid, params: PhysicalParams, dt: float):
     return got
 
 
+def _coupling_k(grid):
+    """Wavenumbers of the grad-div coupling k_i (k . u), each with its own
+    Nyquist row (m_i = -n/2) zeroed, so that k_i k_j keeps the Hermitian
+    symmetry of real fields. One broadcast axis per component."""
+    k1 = grid.k1.copy()
+    k1[grid.n // 2] = 0.0
+    return [k1.reshape([-1 if b == ax else 1 for b in range(grid.dim)]) for ax in range(grid.dim)]
+
+
 def _apply_viscous_exponential(grid, params, dt, u_hats):
     dec_p, dq = _viscous_exponential(grid, params, dt)
-    k_dot_u = sum(grid.k[ax] * u_hats[ax] for ax in range(grid.dim))
-    return [dec_p * u_hats[ax] + dq * grid.k[ax] * k_dot_u for ax in range(grid.dim)]
+    k = _coupling_k(grid)
+    k_dot_u = sum(k[ax] * u_hats[ax] for ax in range(grid.dim))
+    return [dec_p * u_hats[ax] + dq * k[ax] * k_dot_u for ax in range(grid.dim)]
 
 
 def _linear_viscous_hat(grid, params, u_hats):
     """Spectral image of mu Lap u + (lambda+mu) grad div u."""
-    k_dot_u = sum(grid.k[ax] * u_hats[ax] for ax in range(grid.dim))
+    k = _coupling_k(grid)
+    k_dot_u = sum(k[ax] * u_hats[ax] for ax in range(grid.dim))
     return [
-        -params.mu * grid.k2 * u_hats[ax] - (params.lam + params.mu) * grid.k[ax] * k_dot_u
+        -params.mu * grid.k2 * u_hats[ax] - (params.lam + params.mu) * k[ax] * k_dot_u
         for ax in range(grid.dim)
     ]
 
@@ -400,15 +411,8 @@ def snapshot_steps(config: SolverConfig) -> list[int]:
     return sorted(picks)
 
 
-def fault_record(exc, t: float) -> dict:
-    """Fault descriptor of a runtime fault: the time the exception carries,
-    else t, the time of the state being stepped."""
-    time = getattr(exc, "time", None)
-    return {"type": type(exc).__name__, "time": t if time is None else time, "message": str(exc)}
-
-
 def integrate(
-    state0: FlowState,
+    state0,
     config: SolverConfig,
     params: PhysicalParams,
     observe=None,
@@ -416,39 +420,58 @@ def integrate(
 ):
     """March to the horizon, invoking `observe(state, extras)` at the snapshot
     cadence. Returns (records, final_state, fault); on a runtime fault the
-    partial records are returned with the fault descriptor.
+    partial records are returned with the fault descriptor, whose time is
+    that of the last state reached, before the failing step.
 
-    extras carries the per-step accumulated dissipation integral
-    (trapezoidal at step boundaries), so energy-balance residuals refine at
-    the scheme's order.
+    state0 may be a tuple of states (a twin pair): the members step in
+    lockstep, `observe` and `on_snapshot` receive the tuple, and the final
+    states come back as a tuple. The dissipation integral follows the first
+    member.
+
+    Stepping starts at step index round(t0/dt) of the horizon's step grid, so
+    a continued state lands on the snapshots of an uninterrupted run. After
+    step k the time is set to t_origin + k*dt, with t_origin = t0 - k0*dt
+    (zero for a state on the grid), not summed over substeps. extras carries
+    the accumulated dissipation integral (trapezoidal at step boundaries), so
+    energy-balance residuals refine at the scheme's order.
     """
     if config.strict_mode:
         params.validate_strict()
-    total = int(round(config.T / config.dt))
+    batch = isinstance(state0, tuple)
+    states = state0 if batch else (state0,)
+    dt = config.dt
+    start = int(round(states[0].t / dt))
+    origin = states[0].t - start * dt
     snaps = set(snapshot_steps(config))
     records = []
     fault = None
     diss_cum = 0.0
-    d_prev = dissipation_rate(state0, params)
-    state = state0
+    d_prev = dissipation_rate(states[0], params)
 
-    def take(state, istep):
-        extras = {"diss_cum": diss_cum, "step": istep, "dt": config.dt}
+    def take(istep):
+        current = states if batch else states[0]
+        extras = {"diss_cum": diss_cum, "step": istep, "dt": dt}
         if observe is not None:
-            records.append(observe(state, extras))
+            records.append(observe(current, extras))
         if on_snapshot is not None:
-            on_snapshot(state, istep)
+            on_snapshot(current, istep)
 
-    take(state, 0)
-    for istep in range(1, total + 1):
+    take(start)
+    for istep in range(start + 1, int(round(config.T / dt)) + 1):
+        stepped = []
         try:
-            state = step(state, config, params)
+            for s in states:
+                stepped.append(step(s, config, params))
+                s._cache.clear()  # s is kept only to be returned on a fault: drop its derived fields
         except (PositivityFault, CFLError) as exc:
-            fault = fault_record(exc, state.t)
+            fault = {"type": type(exc).__name__, "time": states[0].t, "message": str(exc)}
             break
-        d_new = dissipation_rate(state, params)
-        diss_cum += 0.5 * config.dt * (d_prev + d_new)
+        states = tuple(stepped)
+        for s in states:
+            s.t = origin + istep * dt
+        d_new = dissipation_rate(states[0], params)
+        diss_cum += 0.5 * dt * (d_prev + d_new)
         d_prev = d_new
         if istep in snaps:
-            take(state, istep)
-    return records, state, fault
+            take(istep)
+    return records, (states if batch else states[0]), fault

@@ -89,6 +89,25 @@ class TestExecuteRun:
         assert np.max(np.abs(fin_full.a.data - fin_cont.a.data)) <= 1e-12
         for x, y in zip(fin_full.u, fin_cont.u):
             assert np.max(np.abs(x.data - y.data)) <= 1e-12
+        # the continued rows fall on the uninterrupted snapshot times
+        full = read_series(tmp_path / "full" / "series.csv")
+        cont = read_series(tmp_path / "cont" / "series.csv")
+        assert cont.times[0] == 0.25
+        later = [i for i, t in enumerate(full.times) if t > 0.25]
+        assert cont.times[1:] == [full.times[i] for i in later]
+        # columns of the state alone agree; accumulated history (diss_cum,
+        # grad_u_linf_int, X through A4) needs the loop state in the checkpoint
+        for key in ("E", "l2_au", "rho_min", "mean_a", "h1_u"):
+            np.testing.assert_allclose(cont.column(key)[1:], full.column(key)[later],
+                                       rtol=1e-12, atol=0, err_msg=key)
+        on_disk = json.loads((tmp_path / "cont" / "summary.json").read_text())
+        assert on_disk["resumed_from"] == 0.25
+        assert "energy_balance" in on_disk and "fits" in on_disk
+
+    def test_last_row_at_horizon(self, small_cfg):
+        series, summary = execute_run(small_cfg)
+        assert series.times[-1] == 0.5
+        assert summary["final_time"] == 0.5
 
     def test_checkpoint_cadence(self, tmp_path):
         text = SMALL_CONFIG + "checkpoint_every = 2\n"
@@ -199,6 +218,14 @@ class TestCli:
         assert main(["resume", str(out1 / "final.ckpt"), "--config", str(cfg2),
                      "--out", str(out2)]) == 0
         assert (out2 / "series.csv").exists()
+
+    def test_import_binds_the_module(self):
+        import types
+
+        import cnslab.run as run_module
+
+        assert isinstance(run_module, types.ModuleType)
+        assert run_module.execute_run is execute_run
 
     def test_resume_without_config_errors(self, tmp_path):
         ck = tmp_path / "orphan.ckpt"

@@ -25,6 +25,7 @@ from cnslab.spectral import (
     HalfPlan,
     PositivityFault,
     VectorField,
+    _pdata,
     _sdata,
     constant_field,
     dealiased_product,
@@ -291,6 +292,18 @@ class TestStep:
         assert nxt.u[1].data[cut + 2, 0, 0] == pytest.approx(exact, rel=1e-12)
         assert nxt.a.data[cut + 2, 0, 0] == pytest.approx(0.005, rel=1e-12)
 
+    def test_unfiltered_data_stays_hermitian(self):
+        # random samples carry Nyquist content; the grad-div coupling of the
+        # viscous exponential must keep every velocity sample real
+        grid = make_grid(16, 2 * np.pi, 3)
+        rng = np.random.default_rng(0)
+        a = Field.from_physical(grid, 0.01 * rng.standard_normal(grid.shape))
+        u = VectorField([Field.from_physical(grid, 0.01 * rng.standard_normal(grid.shape))
+                         for _ in range(3)])
+        nxt = step(FlowState(0.0, a, u, PARAMS), SolverConfig(dt=1e-3, T=1e-3), PARAMS)
+        for c in nxt.u.components:
+            assert np.max(np.abs(np.imag(_pdata(c)))) <= 1e-14
+
     def test_cfl_fixed_mode_raises(self, grid16):
         st = _small_state(grid16, eps=0.1, seed=8)
         cfg = SolverConfig(dt=10.0, T=10.0, adaptive=False)
@@ -339,6 +352,53 @@ class TestIntegrate:
         assert fault["type"] == "PositivityFault"
         assert fault["time"] <= 10.0
         assert len(records) >= 1  # partial series kept
+
+    def test_fault_time_is_before_the_failing_step(self):
+        st = _vacuum_state()
+        cfg = SolverConfig(dt=0.05, T=10.0, cadence="uniform:0.5")
+        _, fin, fault = integrate(st, cfg, PARAMS)
+        assert fault is not None
+        assert fault["time"] == fin.t
+        with pytest.raises(PositivityFault):
+            step(fin, cfg, PARAMS)
+
+    @pytest.mark.parametrize("faulting", [0, 1])
+    def test_twin_fault_time_equals_single_run(self, faulting):
+        vac = _vacuum_state()
+        twins = [_small_state(vac.grid, seed=12), _small_state(vac.grid, seed=12)]
+        twins[faulting] = vac
+        cfg = SolverConfig(dt=0.05, T=10.0, cadence="uniform:0.5")
+        _, _, single = integrate(_vacuum_state(), cfg, PARAMS)
+        _, fin, fault = integrate(tuple(twins), cfg, PARAMS)
+        assert single is not None
+        assert fault == single
+        assert [s.t for s in fin] == [single["time"]] * 2
+
+    def test_twins_step_as_single_runs(self, grid16):
+        cfg = SolverConfig(dt=0.02, T=0.2, cadence="uniform:0.1")
+        pair = (_small_state(grid16, seed=13), _small_state(grid16, seed=14))
+        recs, fin, fault = integrate(pair, cfg, PARAMS,
+                                     observe=lambda s, e: (s[0].t, e["diss_cum"]))
+        assert fault is None
+        for member, got in zip(pair, fin):
+            srecs, want, _ = integrate(member, cfg, PARAMS,
+                                       observe=lambda s, e: (s.t, e["diss_cum"]))
+            assert np.array_equal(got.a.data, want.a.data)
+            for x, y in zip(got.u, want.u):
+                assert np.array_equal(x.data, y.data)
+            if member is pair[0]:  # the dissipation integral follows the first member
+                assert recs == srecs
+
+    def test_time_is_set_on_the_step_grid(self, grid16):
+        cfg = SolverConfig(dt=0.1, T=0.3, cadence="uniform:0.1")
+        times, _, _ = integrate(_small_state(grid16), cfg, PARAMS,
+                                observe=lambda s, e: s.t)
+        assert times == [k * 0.1 for k in range(4)]
+        # a state on the grid continues on the same step indices
+        mid = _small_state(grid16)
+        mid.t = 0.1
+        times, _, _ = integrate(mid, cfg, PARAMS, observe=lambda s, e: (e["step"], s.t))
+        assert times == [(k, k * 0.1) for k in range(1, 4)]
 
     def test_resumed_fault_carries_absolute_time(self, tmp_path):
         from cnslab.config import parse_config
