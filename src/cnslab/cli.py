@@ -66,6 +66,12 @@ def main(argv=None) -> int:
     return 2
 
 
+def _config_errors(exc) -> int:
+    for problem in exc.problems:
+        print(f"config error: {problem}", file=sys.stderr)
+    return 2
+
+
 def _load_config(path):
     from .config import ConfigError, parse_config
 
@@ -73,8 +79,7 @@ def _load_config(path):
     try:
         return parse_config(text)
     except ConfigError as exc:
-        for problem in exc.problems:
-            print(f"config error: {problem}", file=sys.stderr)
+        _config_errors(exc)
         raise
 
 
@@ -89,7 +94,10 @@ def _cmd_run(args) -> int:
             print(f"config error: {exc}", file=sys.stderr)
         return 2
     outdir = args.out or cfg.out_directory
-    series, summary = execute_run(cfg, outdir=outdir)
+    try:
+        series, summary = execute_run(cfg, outdir=outdir)
+    except ConfigError as exc:
+        return _config_errors(exc)
     fault = summary.get("fault")
     if fault:
         print(f"runtime fault: {fault['type']} at t={fault['time']:g}: {fault['message']}",

@@ -1,16 +1,22 @@
 """Plain-text run configuration: [section] headers with key = value lines,
-'#' comments. The whole file is validated before any allocation; unknown
-sections or keys are errors."""
+'#' comments, validated whole before any allocation. Each key is declared
+once, on the dataclass field that holds it; parsing, defaults and the summary
+echo derive from the fields. Field metadata may give the file "key" (None:
+not in the file), on RunConfig the "section" (its dataclass-valued fields are
+whole sections named after the field), and a "parse"/"echo" pair for a
+grammar other than the field type's."""
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field as dc_field
+from copy import copy
+from dataclasses import dataclass, field as dc_field, fields, is_dataclass
 
-from .diagnostics import DiagnosticsConfig, LyapunovConstants
-from .scenarios import SCENARIO_KINDS, ScenarioConfig
+from .diagnostics import DiagnosticsConfig
+from .scenarios import ScenarioConfig
 from .solver import PhysicalParams, SolverConfig
+from .spectral import check_grid
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "config_hash", "DEFAULT_CONFIG"]
 
@@ -25,152 +31,6 @@ class ConfigError(ValueError):
         super().__init__("; ".join(self.problems))
 
 
-_SCHEMA = {
-    "grid": {"n", "L", "dim"},
-    "params": {"mu", "lambda", "gamma"},
-    "solver": {"dt", "cfl", "scheme", "T", "cadence", "adaptive", "strict_mode"},
-    "scenario": {
-        "kind",
-        "epsilon",
-        "p0",
-        "seed",
-        "eps_osc",
-        "amplitude",
-        "vertical_amplitude",
-        "p",
-        "smallness_constant",
-        "eps_pert",
-        "R0",
-        "bump_radius",
-    },
-    "diagnostics": {
-        "norms",
-        "p_list",
-        "p0_list",
-        "C_split",
-        "R0",
-        "lyapunov",
-        "holder_alpha",
-        "holder_every",
-        "holder_radius",
-        "fit_norm",
-        "fit_window",
-    },
-    "output": {"directory", "formats", "checkpoint_every"},
-}
-
-
-@dataclass
-class RunConfig:
-    grid_n: int = 32
-    grid_L: float = 8.0 * math.pi
-    grid_dim: int = 3
-    params: PhysicalParams = dc_field(default_factory=PhysicalParams)
-    solver: SolverConfig = dc_field(default_factory=SolverConfig)
-    scenario: ScenarioConfig = dc_field(
-        default_factory=lambda: ScenarioConfig(kind="equilibrium_perturbation")
-    )
-    diagnostics: DiagnosticsConfig = dc_field(default_factory=DiagnosticsConfig)
-    fit_norm: str = "l2_au"
-    fit_window: tuple | None = None
-    out_directory: str = "out"
-    out_formats: tuple = ("csv", "json", "checkpoint")
-    checkpoint_every: int = 0  # 0: final checkpoint only
-    raw_text: str = ""
-
-    def echo(self) -> dict:
-        return {
-            "grid": {"n": self.grid_n, "L": self.grid_L, "dim": self.grid_dim},
-            "params": {
-                "mu": self.params.mu,
-                "lambda": self.params.lam,
-                "gamma": self.params.gamma,
-            },
-            "solver": {
-                "dt": self.solver.dt,
-                "cfl": self.solver.cfl_target,
-                "scheme": self.solver.scheme,
-                "T": self.solver.T,
-                "cadence": self.solver.cadence,
-                "adaptive": self.solver.adaptive,
-                "strict_mode": self.solver.strict_mode,
-            },
-            "scenario": {
-                "kind": self.scenario.kind,
-                "epsilon": self.scenario.epsilon,
-                "p0": self.scenario.p0,
-                "seed": self.scenario.seed,
-                "eps_osc": self.scenario.eps_osc,
-                "amplitude": self.scenario.amplitude,
-                "vertical_amplitude": self.scenario.vertical_amplitude,
-                "p": self.scenario.p,
-                "smallness_constant": self.scenario.smallness_constant,
-                "eps_pert": self.scenario.eps_pert,
-                "R0": self.scenario.R0,
-                "bump_radius": self.scenario.bump_radius,
-            },
-            "diagnostics": {
-                "p_list": list(self.diagnostics.p_list),
-                "p0_list": list(self.diagnostics.p0_list),
-                "C_split": self.diagnostics.c_split,
-                "R0": self.diagnostics.R0,
-                "holder_alpha": self.diagnostics.holder_alpha,
-                "fit_norm": self.fit_norm,
-                "fit_window": list(self.fit_window) if self.fit_window else None,
-            },
-            "output": {
-                "directory": self.out_directory,
-                "formats": list(self.out_formats),
-                "checkpoint_every": self.checkpoint_every,
-            },
-        }
-
-
-def _parse_sections(text: str):
-    problems = []
-    sections: dict[str, dict[str, str]] = {}
-    current = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            current = line[1:-1].strip()
-            if current not in _SCHEMA:
-                problems.append(f"line {lineno}: unknown section [{current}]")
-                current = None
-            else:
-                sections.setdefault(current, {})
-            continue
-        if "=" not in line:
-            problems.append(f"line {lineno}: expected key = value, got {line!r}")
-            continue
-        if current is None:
-            problems.append(f"line {lineno}: key outside any valid section")
-            continue
-        key, _, val = line.partition("=")
-        key, val = key.strip(), val.strip()
-        if key not in _SCHEMA[current]:
-            problems.append(f"line {lineno}: unknown key {key!r} in section [{current}]")
-            continue
-        if key in sections[current]:
-            problems.append(f"line {lineno}: duplicate key {key!r} in section [{current}]")
-            continue
-        sections[current][key] = val
-    return sections, problems
-
-
-def _get(sections, sec, key, conv, default, problems):
-    raw = sections.get(sec, {}).get(key)
-    if raw is None:
-        return default
-    try:
-        return conv(raw)
-    except (ValueError, TypeError) as exc:
-        problems.append(f"[{sec}] {key} = {raw!r}: {exc}")
-        return default
-
-
 def _as_bool(raw: str) -> bool:
     low = raw.lower()
     if low in ("true", "yes", "on", "1"):
@@ -180,175 +40,181 @@ def _as_bool(raw: str) -> bool:
     raise ValueError(f"expected a boolean, got {raw!r}")
 
 
-def _as_float_list(raw: str):
+def _as_float_list(raw: str) -> list:
     return [float(x) for x in raw.split(",") if x.strip()]
+
+
+def _as_optional_float(raw: str):
+    return None if raw in ("", "none") else float(raw)
+
+
+# converters of the field types; a value echoes as a copy of itself
+_CONVERT = {
+    "int": int,
+    "float": float,
+    "str": str,
+    "bool": _as_bool,
+    "list[float]": _as_float_list,
+    "float | None": _as_optional_float,
+}
+
+
+def _parse_fit_window(raw: str):
+    """'none' or empty for the default window, else two times."""
+    if raw in ("", "none"):
+        return None
+    vals = _as_float_list(raw)
+    if len(vals) != 2:
+        raise ValueError("fit_window needs exactly two times")
+    return (vals[0], vals[1])
+
+
+def _echo_fit_window(window):
+    return None if window is None else list(window)
+
+
+def _parse_formats(raw: str) -> tuple:
+    formats = tuple(x.strip() for x in raw.split(",") if x.strip())
+    for f in formats:
+        if f not in ("csv", "json", "checkpoint", "plots"):
+            raise ValueError(f"unknown format {f!r}")
+    return formats
+
+
+_echo_formats = list
+
+
+@dataclass
+class RunConfig:
+    grid_n: int = dc_field(default=32, metadata={"section": "grid", "key": "n"})
+    grid_L: float = dc_field(default=8.0 * math.pi, metadata={"section": "grid", "key": "L"})
+    grid_dim: int = dc_field(default=3, metadata={"section": "grid", "key": "dim"})
+    params: PhysicalParams = dc_field(default_factory=PhysicalParams)
+    solver: SolverConfig = dc_field(default_factory=SolverConfig)
+    scenario: ScenarioConfig = dc_field(default_factory=ScenarioConfig)
+    diagnostics: DiagnosticsConfig = dc_field(default_factory=DiagnosticsConfig)
+    fit_norm: str = dc_field(default="l2_au", metadata={"section": "diagnostics"})
+    fit_window: tuple | None = dc_field(default=None, metadata={
+        "section": "diagnostics", "parse": _parse_fit_window, "echo": _echo_fit_window})
+    out_directory: str = dc_field(
+        default="out", metadata={"section": "output", "key": "directory"})
+    out_formats: tuple = dc_field(default=("csv", "json", "checkpoint"), metadata={
+        "section": "output", "key": "formats", "parse": _parse_formats, "echo": _echo_formats})
+    # 0: final checkpoint only
+    checkpoint_every: int = dc_field(default=0, metadata={"section": "output"})
+    raw_text: str = ""
+
+    def echo(self) -> dict:
+        """Every key of the grammar with its value, by section."""
+        return {
+            section: {
+                key: echo(getattr(getattr(self, owner) if owner else self, f.name))
+                for key, (owner, f, _, echo) in keys.items()
+            }
+            for section, keys in _KEYS.items()
+        }
+
+
+_SECTIONS = [  # (RunConfig attribute, section dataclass)
+    (f.name, f.default_factory) for f in fields(RunConfig) if is_dataclass(f.default_factory)
+]
+
+
+def _build_keys() -> dict:
+    """{section: {file key: (owner, field, parse, echo)}}; owner is the RunConfig
+    attribute holding the section's dataclass, None for RunConfig's own
+    fields. A field type without a converter fails here, at import."""
+    keys: dict = {}
+
+    def add(section, owner, f):
+        key = f.metadata.get("key", f.name)
+        if key is not None:
+            parse = f.metadata.get("parse") or _CONVERT[f.type]
+            keys.setdefault(section, {})[key] = (owner, f, parse, f.metadata.get("echo", copy))
+
+    for section, cls in _SECTIONS:
+        for f in fields(cls):
+            add(section, section, f)
+    for f in fields(RunConfig):
+        if "section" in f.metadata:
+            add(f.metadata["section"], None, f)
+    return keys
+
+
+_KEYS = _build_keys()
+
+
+def _config_lines(text: str):
+    """(line number, line) for each line the grammar reads: comments cut at
+    '#', whitespace stripped, blank lines dropped."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
+def _parse_sections(text: str):
+    problems = []
+    sections: dict[str, dict[str, str]] = {}
+    current = None
+    for lineno, line in _config_lines(text):
+        key, eq, val = line.partition("=")
+        key, val = key.strip(), val.strip()
+        if line.startswith("[") and line.endswith("]"):
+            current = line[1:-1].strip()
+            if current in _KEYS:
+                sections.setdefault(current, {})
+            else:
+                problems.append(f"line {lineno}: unknown section [{current}]")
+                current = None
+        elif not eq:
+            problems.append(f"line {lineno}: expected key = value, got {line!r}")
+        elif current is None:
+            problems.append(f"line {lineno}: key outside any valid section")
+        elif key not in _KEYS[current]:
+            problems.append(f"line {lineno}: unknown key {key!r} in section [{current}]")
+        elif key in sections[current]:
+            problems.append(f"line {lineno}: duplicate key {key!r} in section [{current}]")
+        else:
+            sections[current][key] = val
+    return sections, problems
 
 
 def parse_config(text: str) -> RunConfig:
     sections, problems = _parse_sections(text)
 
-    n = _get(sections, "grid", "n", int, 32, problems)
-    L = _get(sections, "grid", "L", float, 8.0 * math.pi, problems)
-    dim = _get(sections, "grid", "dim", int, 3, problems)
-
-    mu = _get(sections, "params", "mu", float, 1.0, problems)
-    lam = _get(sections, "params", "lambda", float, 0.0, problems)
-    gamma = _get(sections, "params", "gamma", float, 1.4, problems)
-
-    dt = _get(sections, "solver", "dt", float, 0.01, problems)
-    cfl = _get(sections, "solver", "cfl", float, 0.4, problems)
-    scheme = _get(sections, "solver", "scheme", str, "imex2", problems)
-    horizon = _get(sections, "solver", "T", float, 1.0, problems)
-    cadence = _get(sections, "solver", "cadence", str, "geometric", problems)
-    adaptive = _get(sections, "solver", "adaptive", _as_bool, True, problems)
-    strict = _get(sections, "solver", "strict_mode", _as_bool, False, problems)
-
-    kind = _get(sections, "scenario", "kind", str, "equilibrium_perturbation", problems)
-    scen_kwargs = dict(
-        epsilon=_get(sections, "scenario", "epsilon", float, 1e-2, problems),
-        p0=_get(sections, "scenario", "p0", float, 1.0, problems),
-        seed=_get(sections, "scenario", "seed", int, 0, problems),
-        eps_osc=_get(sections, "scenario", "eps_osc", float, 0.25, problems),
-        amplitude=_get(sections, "scenario", "amplitude", float, 1.0, problems),
-        vertical_amplitude=_get(
-            sections, "scenario", "vertical_amplitude", float, 1.0, problems
-        ),
-        p=_get(sections, "scenario", "p", float, 2.0, problems),
-        smallness_constant=_get(
-            sections, "scenario", "smallness_constant", float, 1.0, problems
-        ),
-        eps_pert=_get(sections, "scenario", "eps_pert", float, 1e-3, problems),
-        R0=_get(sections, "scenario", "R0", float, 1.0, problems),
-    )
-    bump_raw = sections.get("scenario", {}).get("bump_radius")
-    if bump_raw not in (None, "", "none"):
+    def collect(section, check, *args, **kwargs):
         try:
-            scen_kwargs["bump_radius"] = float(bump_raw)
-        except ValueError:
-            problems.append(f"[scenario] bump_radius = {bump_raw!r}: not a float")
+            return check(*args, **kwargs)
+        except ValueError as exc:
+            problems.append(f"[{section}] {exc}")
 
-    norm_entries = _get(sections, "diagnostics", "norms", str, "", problems)
-    norms = []
-    if norm_entries:
-        for entry in norm_entries.split(";"):
-            entry = entry.strip()
-            if not entry:
-                continue
+    # keyword arguments by owner (None: RunConfig); absent keys keep defaults
+    kwargs: dict = {}
+    for section, given in sections.items():
+        for key, raw in given.items():
+            owner, f, parse, _ = _KEYS[section][key]
             try:
-                norms.append(DiagnosticsConfig.parse_norm_entry(entry))
-            except ValueError as exc:
-                problems.append(f"[diagnostics] norms: {exc}")
-    p_list = _get(sections, "diagnostics", "p_list", _as_float_list, [2.0], problems)
-    p0_list = _get(sections, "diagnostics", "p0_list", _as_float_list, [1.0], problems)
-    c_split = _get(sections, "diagnostics", "C_split", float, 1.0, problems)
-    r0 = _get(sections, "diagnostics", "R0", float, 1.0, problems)
-    lyap_raw = _get(sections, "diagnostics", "lyapunov", str, "calibrate", problems)
-    if lyap_raw == "calibrate":
-        lyapunov = "calibrate"
-    else:
-        try:
-            vals = _as_float_list(lyap_raw)
-            if len(vals) != 6:
-                raise ValueError("need 6 comma-separated constants or 'calibrate'")
-            lyapunov = LyapunovConstants(*vals)
-        except ValueError as exc:
-            problems.append(f"[diagnostics] lyapunov: {exc}")
-            lyapunov = "calibrate"
-    holder_alpha_raw = sections.get("diagnostics", {}).get("holder_alpha")
-    holder_alpha = None
-    if holder_alpha_raw not in (None, "", "none"):
-        try:
-            holder_alpha = float(holder_alpha_raw)
-        except ValueError:
-            problems.append(f"[diagnostics] holder_alpha = {holder_alpha_raw!r}: not a float")
-    holder_every = _get(sections, "diagnostics", "holder_every", int, 1, problems)
-    holder_radius = _get(sections, "diagnostics", "holder_radius", int, 4, problems)
-    fit_norm = _get(sections, "diagnostics", "fit_norm", str, "l2_au", problems)
-    fit_window_raw = sections.get("diagnostics", {}).get("fit_window")
-    fit_window = None
-    if fit_window_raw:
-        try:
-            vals = _as_float_list(fit_window_raw)
-            if len(vals) != 2:
-                raise ValueError("fit_window needs exactly two times")
-            fit_window = (vals[0], vals[1])
-        except ValueError as exc:
-            problems.append(f"[diagnostics] fit_window: {exc}")
-
-    out_dir = _get(sections, "output", "directory", str, "out", problems)
-    fmt_raw = _get(sections, "output", "formats", str, "csv,json,checkpoint", problems)
-    formats = tuple(x.strip() for x in fmt_raw.split(",") if x.strip())
-    for f in formats:
-        if f not in ("csv", "json", "checkpoint", "plots"):
-            problems.append(f"[output] formats: unknown format {f!r}")
-    ckpt_every = _get(sections, "output", "checkpoint_every", int, 0, problems)
-
-    # construct validated immutable pieces, folding their errors into the list
-    params = solver = scenario = None
-    try:
-        params = PhysicalParams(mu=mu, lam=lam, gamma=gamma)
-        if strict:
-            params.validate_strict()
-    except ValueError as exc:
-        problems.append(f"[params] {exc}")
-    try:
-        solver = SolverConfig(
-            dt=dt, cfl_target=cfl, scheme=scheme, T=horizon, cadence=cadence,
-            adaptive=adaptive, strict_mode=strict,
-        )
-    except ValueError as exc:
-        problems.append(f"[solver] {exc}")
-    try:
-        if kind not in SCENARIO_KINDS:
-            raise ValueError(f"unknown scenario kind {kind!r}")
-        scenario = ScenarioConfig(kind=kind, **scen_kwargs)
-    except ValueError as exc:
-        problems.append(f"[scenario] {exc}")
-    try:
-        from .spectral import _has_large_factor
-
-        if not (isinstance(n, int) and n >= 8 and n % 2 == 0 and not _has_large_factor(n)):
-            raise ValueError(f"n must be an even radix-2/3 size >= 8, got {n}")
-        if not L > 0:
-            raise ValueError("L must be positive")
-        if dim not in (2, 3):
-            raise ValueError(f"dim must be 2 or 3, got {dim}")
-    except ValueError as exc:
-        problems.append(f"[grid] {exc}")
-
+                kwargs.setdefault(owner, {})[f.name] = parse(raw)
+            except (ValueError, TypeError) as exc:
+                problems.append(f"[{section}] {key} = {raw!r}: {exc}")
+    top = kwargs.get(None, {})
+    for section, cls in _SECTIONS:
+        top[section] = collect(section, cls, **kwargs.get(section, {})) or cls()
+    cfg = RunConfig(**top, raw_text=text)
+    if cfg.solver.strict_mode:
+        collect("params", cfg.params.validate_strict)
+    collect("grid", check_grid, cfg.grid_n, cfg.grid_L, cfg.grid_dim)
     if problems:
         raise ConfigError(problems)
-
-    diag = DiagnosticsConfig(
-        norms=norms,
-        p_list=p_list,
-        p0_list=p0_list,
-        c_split=c_split,
-        R0=r0,
-        lyapunov=lyapunov,
-        holder_alpha=holder_alpha,
-        holder_every=holder_every,
-        holder_radius=holder_radius,
-    )
-    return RunConfig(
-        grid_n=n,
-        grid_L=L,
-        grid_dim=dim,
-        params=params,
-        solver=solver,
-        scenario=scenario,
-        diagnostics=diag,
-        fit_norm=fit_norm,
-        fit_window=fit_window,
-        out_directory=out_dir,
-        out_formats=formats,
-        checkpoint_every=ckpt_every,
-        raw_text=text,
-    )
+    return cfg
 
 
 def config_hash(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()
+    """SHA-256 of the lines the grammar reads, so comment and blank-line
+    edits keep the hash."""
+    normal = "\n".join(line for _, line in _config_lines(text))
+    return hashlib.sha256(normal.encode()).hexdigest()
 
 
 DEFAULT_CONFIG = """\

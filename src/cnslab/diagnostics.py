@@ -414,28 +414,67 @@ def select_field(state: FlowState, name: str):
     raise ValueError(f"unknown field selector {name!r}; choose from {_SELECTORS}")
 
 
+def norm_column_name(selector: str, spec: NormSpec) -> str:
+    return f"{selector}:{format_norm_key(spec)}"
+
+
+def parse_norms(raw: str) -> list:
+    """'<selector>:<norm key>; ...' entries as (selector, NormSpec) pairs;
+    a ValueError names every bad entry."""
+    norms, errors = [], []
+    for entry in filter(None, (e.strip() for e in raw.split(";"))):
+        selector, _, key = entry.partition(":")
+        try:
+            if selector not in _SELECTORS:
+                raise ValueError(f"norm entry {entry!r}: unknown field selector {selector!r}")
+            norms.append((selector, parse_norm_key(key)))
+        except ValueError as exc:
+            errors.append(str(exc))
+    if errors:
+        raise ValueError("; ".join(errors))
+    return norms
+
+
+def echo_norms(norms) -> str:
+    """The entries in parse_norms' grammar, each its CSV column name."""
+    return "; ".join(norm_column_name(selector, spec) for selector, spec in norms)
+
+
+def parse_lyapunov(raw: str):
+    """'calibrate', or the six constants A1..A6 comma-separated."""
+    if raw == "calibrate":
+        return raw
+    vals = [float(x) for x in raw.split(",") if x.strip()]
+    if len(vals) != 6:
+        raise ValueError("need 6 comma-separated constants or 'calibrate'")
+    return LyapunovConstants(*vals)
+
+
+def echo_lyapunov(value):
+    return value if isinstance(value, str) else list(value.as_dict().values())
+
+
 @dataclass
 class DiagnosticsConfig:
-    norms: list = dc_field(default_factory=list)  # (selector, NormSpec) pairs
-    p_list: list = dc_field(default_factory=lambda: [2.0])
-    p0_list: list = dc_field(default_factory=lambda: [1.0])
-    c_split: float = 1.0
+    """The [diagnostics] section; field metadata as in RunConfig."""
+
+    norms: list = dc_field(  # (selector, NormSpec) pairs
+        default_factory=list, metadata={"parse": parse_norms, "echo": echo_norms}
+    )
+    p_list: list[float] = dc_field(default_factory=lambda: [2.0])
+    p0_list: list[float] = dc_field(default_factory=lambda: [1.0])
+    c_split: float = dc_field(default=1.0, metadata={"key": "C_split"})
     R0: float = 1.0
-    lyapunov: "LyapunovConstants | str" = "calibrate"
+    lyapunov: LyapunovConstants | str = dc_field(
+        default="calibrate", metadata={"parse": parse_lyapunov, "echo": echo_lyapunov}
+    )
     holder_alpha: float | None = None
     holder_every: int = 1
     holder_radius: int = 4
 
-    @staticmethod
-    def parse_norm_entry(entry: str):
-        selector, _, key = entry.partition(":")
-        if selector not in _SELECTORS:
-            raise ValueError(f"norm entry {entry!r}: unknown field selector {selector!r}")
-        return selector, parse_norm_key(key)
-
-
-def norm_column_name(selector: str, spec: NormSpec) -> str:
-    return f"{selector}:{format_norm_key(spec)}"
+    def __post_init__(self):
+        if not all(p >= 1 for p in self.p_list):
+            raise ValueError(f"p_list entries must be >= 1, got {self.p_list}")
 
 
 def make_observer(params: PhysicalParams, cfg: DiagnosticsConfig, series: DiagnosticSeries):

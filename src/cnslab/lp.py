@@ -205,12 +205,19 @@ class NormSpec:
                 raise ValueError(f"R0 must be a power of two, got {self.R0}")
 
 
+def _index(x: float) -> str:
+    """x in %g form, or in full when %g would not read back as x."""
+    text = f"{x:g}"
+    return text if float(text) == x else repr(x)
+
+
 def format_norm_key(spec: NormSpec) -> str:
+    """The key parse_norm_key reads back as spec."""
+    i = _index
     if spec.hybrid:
-        return (
-            f"hybrid:s={spec.s:g},t={spec.t:g},r={spec.r_low:g},p={spec.p:g},R0={spec.R0:g}"
-        )
-    return f"besov:s={spec.s:g},p={spec.p:g},r={spec.r:g}"
+        return (f"hybrid:s={i(spec.s)},t={i(spec.t)},r={i(spec.r_low)},"
+                f"p={i(spec.p)},R0={i(spec.R0)}")
+    return f"besov:s={i(spec.s)},p={i(spec.p)},r={i(spec.r)}"
 
 
 def parse_norm_key(key: str) -> NormSpec:

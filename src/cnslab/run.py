@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io as cio
-from .config import RunConfig, config_hash
+from .config import ConfigError, RunConfig, config_hash
 from .diagnostics import (
     DiagnosticSeries,
     default_fit_window,
@@ -81,10 +81,14 @@ def _conlf_witness(series, runconfig):
 
 def execute_run(runconfig: RunConfig, outdir=None):
     """Integrate the configured scenario to its horizon and return
-    (DiagnosticSeries, summary dict); files are written when outdir is given."""
+    (DiagnosticSeries, summary dict); files are written when outdir is given.
+    Initial data that the scenario refuses raise ConfigError."""
     chash = config_hash(runconfig.raw_text)
     grid = make_grid(runconfig.grid_n, runconfig.grid_L, runconfig.grid_dim)
-    built = build_scenario(runconfig.scenario, grid, runconfig.params)
+    try:
+        built = build_scenario(runconfig.scenario, grid, runconfig.params)
+    except ValueError as exc:
+        raise ConfigError(f"[scenario] {exc}") from exc
     if runconfig.scenario.kind == "stability_pair":
         series, summary = _run_stability(runconfig, built, chash)
     else:

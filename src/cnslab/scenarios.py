@@ -48,7 +48,7 @@ SCENARIO_KINDS = (
 
 @dataclass
 class ScenarioConfig:
-    kind: str
+    kind: str = "equilibrium_perturbation"
     epsilon: float = 1e-2
     p0: float = 1.0
     seed: int = 0

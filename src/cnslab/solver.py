@@ -10,7 +10,7 @@ pressure and the variable-density correction are explicit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
@@ -49,7 +49,7 @@ class PhysicalParams:
     """Constant viscosities and adiabatic exponent; pressure is rho^gamma."""
 
     mu: float = 1.0
-    lam: float = 0.0
+    lam: float = dc_field(default=0.0, metadata={"key": "lambda"})
     gamma: float = 1.4
 
     def __post_init__(self):
@@ -68,16 +68,34 @@ class PhysicalParams:
             )
 
 
+def _uniform_interval(cadence: str) -> float | None:
+    """Snapshot interval of a 'uniform:<dt_snap>' cadence, None for
+    'geometric'; any other cadence is a ValueError."""
+    if cadence == "geometric":
+        return None
+    kind, _, value = cadence.partition(":")
+    try:
+        dt_snap = float(value) if kind == "uniform" else math.nan
+    except ValueError:
+        dt_snap = math.nan
+    if not (math.isfinite(dt_snap) and dt_snap > 0):
+        raise ValueError(
+            f"cadence must be 'geometric' or 'uniform:<positive interval>', got {cadence!r}"
+        )
+    return dt_snap
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     dt: float = 0.01
-    cfl_target: float = 0.4
+    cfl_target: float = dc_field(default=0.4, metadata={"key": "cfl"})
     scheme: str = "imex2"
     T: float = 1.0
     cadence: str = "geometric"  # or "uniform:<dt_snap>"
     adaptive: bool = True
     strict_mode: bool = False
-    linear_only: bool = False  # test hook: freeze a, drop every explicit term
+    # test hook, not a config key: freeze a, drop every explicit term
+    linear_only: bool = dc_field(default=False, metadata={"key": None})
 
     def __post_init__(self):
         if not self.dt > 0:
@@ -88,6 +106,7 @@ class SolverConfig:
             raise ValueError("cfl_target must lie in (0, 0.5]")
         if self.T < 0:
             raise ValueError("horizon T must be nonnegative")
+        _uniform_interval(self.cadence)
 
 
 @dataclass
@@ -394,7 +413,8 @@ def snapshot_steps(config: SolverConfig) -> list[int]:
     if total == 0:
         return [0]
     picks = {0, total}
-    if config.cadence == "geometric":
+    dt_snap = _uniform_interval(config.cadence)
+    if dt_snap is None:
         n = 0
         while True:
             t = 2.0 ** (n / 4.0) - 1.0
@@ -402,12 +422,9 @@ def snapshot_steps(config: SolverConfig) -> list[int]:
                 break
             picks.add(min(total, int(round(t / config.dt))))
             n += 1
-    elif config.cadence.startswith("uniform:"):
-        dt_snap = float(config.cadence.split(":", 1)[1])
+    else:
         stride = max(1, int(round(dt_snap / config.dt)))
         picks.update(range(0, total + 1, stride))
-    else:
-        raise ValueError(f"unknown cadence {config.cadence!r}")
     return sorted(picks)
 
 

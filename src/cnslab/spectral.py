@@ -26,6 +26,7 @@ __all__ = [
     "VectorField",
     "GridError",
     "GridMismatchError",
+    "check_grid",
     "PositivityFault",
     "make_grid",
     "constant_field",
@@ -58,11 +59,22 @@ class GridError(ValueError):
     """Invalid grid parameters."""
 
 
-def _has_large_factor(n: int) -> bool:
+def check_grid(n, length, dim) -> None:
+    """The grid rule: n an even radix-2/3 size >= 8, length > 0, dim 2 or 3.
+    Raises GridError; allocates nothing."""
+    even = isinstance(n, (int, np.integer)) and n >= 8 and n % 2 == 0
+    m = int(n) if even else 1
     for p in (2, 3):
-        while n % p == 0:
-            n //= p
-    return n != 1
+        while m % p == 0:
+            m //= p
+    if not even or m != 1:
+        raise GridError(
+            f"n_per_dim must be an even radix-2/3 size >= 8 (8, 16, 24, 32, 48, ...), got {n!r}"
+        )
+    if not length > 0:
+        raise GridError(f"box_length must be positive, got {length!r}")
+    if dim not in (2, 3):
+        raise GridError(f"dim must be 2 or 3, got {dim!r}")
 
 
 class GridMismatchError(ValueError):
@@ -108,14 +120,7 @@ class Grid:
     )
 
     def __init__(self, n: int, length: float, dim: int):
-        if not isinstance(n, (int, np.integer)) or n < 8 or n % 2 or _has_large_factor(n):
-            raise GridError(
-                f"n_per_dim must be an even radix-2/3 size >= 8 (8, 16, 24, 32, 48, ...), got {n!r}"
-            )
-        if not length > 0:
-            raise GridError(f"box_length must be positive, got {length!r}")
-        if dim not in (2, 3):
-            raise GridError(f"dim must be 2 or 3, got {dim!r}")
+        check_grid(n, length, dim)
         self.n = int(n)
         self.length = float(length)
         self.dim = int(dim)

@@ -178,6 +178,28 @@ class TestCli:
         assert main(["run", str(bad)]) == 2
         assert "mu > lambda/2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit", [
+        ("cadence = uniform:0.1", "cadence = bogus"),
+        ("cadence = uniform:0.1", "cadence = uniform:-0.1"),
+        ("p0_list = 1", "p0_list = 1\np_list = 0.5"),
+    ])
+    def test_invalid_value_exits_before_the_run(self, tmp_path, capsys, edit):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(SMALL_CONFIG.replace(*edit))
+        assert main(["run", str(bad), "--out", str(tmp_path / "out")]) == 2
+        assert "config error:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_refused_initial_data_is_a_config_error(self, tmp_path, capsys):
+        # scenario seed 137 gives ||(Pu0)^3|| = 23.1, over the smallness budget
+        text = (Path(__file__).parent.parent / "configs" / "large_vertical.txt").read_text()
+        assert "seed = 13\n" in text
+        bad = tmp_path / "refused.cfg"
+        bad.write_text(text.replace("seed = 13\n", "seed = 137\n"))
+        assert main(["run", str(bad), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "config error: [scenario] smallness budget infeasible" in err
+
     def test_missing_config_file(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.cfg")]) == 2
 

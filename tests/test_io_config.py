@@ -1,11 +1,14 @@
 """Round trips for CSV/JSON/checkpoint files and the config grammar."""
 
+import dataclasses
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cnslab.config import ConfigError, DEFAULT_CONFIG, config_hash, parse_config
+from cnslab.config import ConfigError, DEFAULT_CONFIG, RunConfig, config_hash, parse_config
 from cnslab.diagnostics import DiagnosticSeries
 from cnslab.io import (
     CheckpointError,
@@ -17,9 +20,12 @@ from cnslab.io import (
     write_summary,
 )
 from cnslab.solver import FlowState, PhysicalParams
-from cnslab.spectral import VectorField, make_grid, random_field
+from cnslab.spectral import GridError, VectorField, make_grid, random_field
 
 PARAMS = PhysicalParams(mu=1.0, lam=0.0, gamma=1.4)
+ROOT = Path(__file__).parent.parent
+CONFIG_TEXTS = {p.name: p.read_text() for p in sorted((ROOT / "configs").glob("*.txt"))}
+CONFIG_TEXTS["DEFAULT_CONFIG"] = DEFAULT_CONFIG
 
 
 def _random_series(seed=0, n=7):
@@ -158,3 +164,65 @@ class TestConfigGrammar:
     def test_comments_and_blank_lines_ignored(self):
         text = "# header\n\n[grid]\nn = 16  # points\n"
         assert parse_config(text).grid_n == 16
+
+    def test_hash_ignores_comments_and_blank_lines(self):
+        text = "[grid]\nn = 16\n"
+        assert config_hash(text) == config_hash("# header\n\n[grid]  \n  n = 16  # points\n\n")
+        assert config_hash(text) != config_hash("[grid]\nn = 24\n")
+
+    @pytest.mark.parametrize("n", [7, 8, 10, 12, 18, 20])
+    def test_grid_rule_same_as_grid(self, n):
+        text = f"[grid]\nn = {n}\ndim = 2\n"
+        try:
+            make_grid(n, 8.0 * np.pi, 2)
+        except GridError as exc:
+            with pytest.raises(ConfigError, match=re.escape(f"[grid] {exc}")):
+                parse_config(text)
+        else:
+            assert parse_config(text).grid_n == n
+
+
+def _render(echo: dict) -> str:
+    """The echo back in the file grammar."""
+
+    def value(v):
+        if isinstance(v, bool):
+            return "true" if v else "false"
+        if v is None:
+            return "none"
+        if isinstance(v, list):
+            return ", ".join(value(x) for x in v)
+        return repr(v) if isinstance(v, float) else str(v)
+
+    return "".join(
+        f"[{section}]\n" + "".join(f"{key} = {value(v)}\n" for key, v in keys.items())
+        for section, keys in echo.items()
+    )
+
+
+class TestConfigEcho:
+    @pytest.mark.parametrize("name", sorted(CONFIG_TEXTS))
+    def test_echo_round_trips(self, name):
+        cfg = parse_config(CONFIG_TEXTS[name])
+        back = parse_config(_render(cfg.echo()))
+        assert dataclasses.replace(back, raw_text="") == dataclasses.replace(cfg, raw_text="")
+
+    def test_echo_holds_every_key(self):
+        echo = parse_config(CONFIG_TEXTS["large_vertical.txt"]).echo()
+        assert echo["diagnostics"]["norms"] == "Pu3:besov:s=0.5,p=2,r=1"
+        for key in ("lyapunov", "holder_every", "holder_radius"):
+            assert key in echo["diagnostics"]
+
+    def test_echo_keeps_norm_indices_exact(self):
+        cfg = parse_config("[diagnostics]\nnorms = a:besov:s=0.3333333,p=2,r=1\n")
+        assert parse_config(_render(cfg.echo())).diagnostics == cfg.diagnostics
+
+    def test_readme_grammar_names_the_schema(self):
+        readme = (ROOT / "README.md").read_text()
+        block = readme.split("## Configuration grammar", 1)[1].split("```")[1]
+        listed = {}
+        for section, body in re.findall(r"^\[(\w+)\]([^\[]*)", block, flags=re.M):
+            body = re.sub(r"\([^)]*\)", "", body)
+            listed[section] = {k.strip() for k in body.split(",") if k.strip()}
+        schema = {section: set(keys) for section, keys in RunConfig().echo().items()}
+        assert listed == schema

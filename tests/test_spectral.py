@@ -10,6 +10,7 @@ from cnslab.spectral import (
     GridMismatchError,
     PositivityFault,
     VectorField,
+    check_grid,
     constant_field,
     dealias,
     dealiased_product,
@@ -46,6 +47,13 @@ class TestGrid:
     def test_rejects_bad_sizes(self, bad_n):
         with pytest.raises(GridError):
             make_grid(bad_n, 1.0, 3)
+
+    def test_check_grid_allocates_nothing(self):
+        for n in (8, 12, 18, 36, 96, 2**20):  # 2^20: a grid would need TBs
+            check_grid(n, 1.0, 3)
+        for n in (4, 7, 9, 10, 20, 40, 16.0, True):
+            with pytest.raises(GridError):
+                check_grid(n, 1.0, 3)
 
     def test_accepts_radix23_sizes(self):
         for n in (8, 12, 16, 24, 32, 48, 64):
