@@ -205,6 +205,8 @@ def parse_config(text: str) -> RunConfig:
     if cfg.solver.strict_mode:
         collect("params", cfg.params.validate_strict)
     collect("grid", check_grid, cfg.grid_n, cfg.grid_L, cfg.grid_dim)
+    if cfg.checkpoint_every < 0:
+        problems.append(f"[output] checkpoint_every must be >= 0, got {cfg.checkpoint_every}")
     if problems:
         raise ConfigError(problems)
     return cfg

@@ -5,6 +5,7 @@ budget of the velocity gradient."""
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field as dc_field
 
@@ -20,6 +21,7 @@ from .spectral import (
     _cell,
     _pdata,
     _sdata,
+    dealias,
     dealiased_product,
     divergence,
     gradient,
@@ -89,14 +91,14 @@ def pressure_cross_density(rho: np.ndarray, gamma: float, lam: float, mu: float)
 
 def relative_entropy(a: Field, gamma: float) -> float:
     """Integral of H(rho|1) over the box; zero exactly at equilibrium."""
-    rho = 1.0 + np.real(_pdata(a))
+    rho = 1.0 + _pdata(a)
     return float(np.sum(entropy_density(rho, gamma)) * _cell(a.grid))
 
 
 def basic_energy(state: FlowState, params: PhysicalParams) -> tuple[float, float]:
     """(E, D): E = int H(rho|1) + 1/2 int rho |u|^2, D the viscous dissipation."""
     rho = state.rho_phys
-    u2 = sum(np.real(_pdata(c)) ** 2 for c in state.u.components)
+    u2 = sum(_pdata(c) ** 2 for c in state.u.components)
     e = float(
         np.sum(entropy_density(rho, params.gamma) + 0.5 * rho * u2) * _cell(state.grid)
     )
@@ -106,7 +108,7 @@ def basic_energy(state: FlowState, params: PhysicalParams) -> tuple[float, float
 def l4_energy(state: FlowState) -> float:
     """int rho |u|^4 dx."""
     rho = state.rho_phys
-    u2 = sum(np.real(_pdata(c)) ** 2 for c in state.u.components)
+    u2 = sum(_pdata(c) ** 2 for c in state.u.components)
     return float(np.sum(rho * u2 * u2) * _cell(state.grid))
 
 
@@ -170,7 +172,7 @@ def lyapunov_X(
     rho = state.rho_phys
     mu, lam, g = params.mu, params.lam, params.gamma
 
-    u2 = sum(np.real(_pdata(c)) ** 2 for c in state.u.components)
+    u2 = sum(_pdata(c) ** 2 for c in state.u.components)
     h = entropy_density(rho, g)
     f_vals = pressure_cross_density(rho, g, lam, mu)
 
@@ -178,10 +180,10 @@ def lyapunov_X(
     div_u = divergence(state.u)
     div_sq = lebesgue_norm(div_u, 2) ** 2
     frak = state.frak_a
-    cross = float(np.sum(np.real(_pdata(frak)) * np.real(_pdata(div_u))) * cell)
+    cross = float(np.sum(_pdata(frak) * _pdata(div_u)) * cell)
 
     udot = state.u_dot
-    udot2 = sum(np.real(_pdata(c)) ** 2 for c in udot.components)
+    udot2 = sum(_pdata(c) ** 2 for c in udot.components)
 
     x = (
         constants.A1 * float(np.sum(rho * u2 * u2) * cell)
@@ -221,9 +223,11 @@ def low_freq_mass(state: FlowState, t: float, c_split: float = 1.0) -> float:
     gamma = state.params.gamma
     a_hat = vol * _sdata(state.a)
     total = gamma * np.abs(a_hat[mask]) ** 2
-    rho_field = Field.from_physical(grid, state.rho_phys)
+    # the dealiased products rho * u_i, sharing one set of dealiased rho samples
+    rho_d = _pdata(dealias(Field.from_physical(grid, state.rho_phys)))
     for c in state.u.components:
-        mom = vol * _sdata(dealiased_product(rho_field, c))
+        mom_field = dealias(Field.from_physical(grid, rho_d * _pdata(dealias(c))))
+        mom = vol * _sdata(mom_field)
         total = total + np.abs(mom[mask]) ** 2
     return float(np.sum(total) * (2.0 * np.pi / grid.length) ** grid.dim)
 
@@ -329,17 +333,17 @@ def lipschitz_budget(series: "DiagnosticSeries"):
 
 def holder_norm(f: Field, alpha: float, radius: int = 4) -> float:
     """C^alpha estimate: L-inf norm plus the seminorm sampled over all lattice
-    offsets with |m| <= radius (periodic wrap); smooth spectral fields attain
-    the quotient at short range."""
+    offsets with |m| <= radius (periodic wrap, views of the samples padded once);
+    smooth spectral fields attain the quotient at short range."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0,1), got {alpha:g}")
-    vals = np.real(_pdata(f))
+    vals = _pdata(f)
     grid = f.grid
+    padded = np.pad(vals, radius, mode="wrap")
+    diff = np.empty_like(vals)
     best = 0.0
     rngs = range(-radius, radius + 1)
     seen = set()
-    import itertools
-
     for offset in itertools.product(*([rngs] * grid.dim)):
         if offset == (0,) * grid.dim or offset in seen:
             continue
@@ -348,8 +352,10 @@ def holder_norm(f: Field, alpha: float, radius: int = 4) -> float:
         dist2 = sum(o * o for o in offset)
         if dist2 > radius * radius:
             continue
-        shifted = np.roll(vals, shift=offset, axis=tuple(range(grid.dim)))
-        quot = np.max(np.abs(shifted - vals)) / (math.sqrt(dist2) * grid.dx) ** alpha
+        # shifted[x] = vals[x - offset], as np.roll(vals, offset) gives
+        shifted = padded[tuple(slice(radius - o, radius - o + grid.n) for o in offset)]
+        np.abs(np.subtract(shifted, vals, out=diff), out=diff)
+        quot = np.max(diff) / (math.sqrt(dist2) * grid.dx) ** alpha
         best = max(best, float(quot))
     return best + float(np.max(np.abs(vals)))
 
@@ -475,6 +481,8 @@ class DiagnosticsConfig:
     def __post_init__(self):
         if not all(p >= 1 for p in self.p_list):
             raise ValueError(f"p_list entries must be >= 1, got {self.p_list}")
+        if self.holder_every < 1:
+            raise ValueError(f"holder_every must be >= 1, got {self.holder_every}")
 
 
 def make_observer(params: PhysicalParams, cfg: DiagnosticsConfig, series: DiagnosticSeries):
@@ -510,7 +518,7 @@ def make_observer(params: PhysicalParams, cfg: DiagnosticsConfig, series: Diagno
         grad_mag2 = np.zeros(state.grid.shape)
         for c in state.u.components:
             for comp in gradient(c).components:
-                grad_mag2 += np.real(_pdata(comp)) ** 2
+                grad_mag2 += _pdata(comp) ** 2
         linf = float(np.sqrt(np.max(grad_mag2)))
         t = state.t
         if state_holder["prev_t"] is not None:
@@ -520,8 +528,8 @@ def make_observer(params: PhysicalParams, cfg: DiagnosticsConfig, series: Diagno
         state_holder["prev_t"], state_holder["prev_linf"] = t, linf
 
         flux = effective_flux(state.u, state.frak_a, params.lam, params.mu)
-        a_abs = np.abs(np.real(_pdata(state.a)))
-        frak_abs = np.abs(np.real(_pdata(state.frak_a)))
+        a_abs = np.abs(_pdata(state.a))
+        frak_abs = np.abs(_pdata(state.frak_a))
         sig = a_abs > 1e-3 * (np.max(a_abs) or 1.0)
         if np.any(sig):
             ratios = frak_abs[sig] / a_abs[sig]
@@ -567,7 +575,7 @@ def make_observer(params: PhysicalParams, cfg: DiagnosticsConfig, series: Diagno
                 val = besov_norm(fld, spec)
             record[norm_column_name(selector, spec)] = val
         if cfg.holder_alpha is not None:
-            if state_holder["snapshots"] % max(1, cfg.holder_every) == 0:
+            if state_holder["snapshots"] % cfg.holder_every == 0:
                 rho_field = Field.from_physical(state.grid, state.rho_phys)
                 state_holder["holder_last"] = holder_norm(
                     rho_field, cfg.holder_alpha, cfg.holder_radius

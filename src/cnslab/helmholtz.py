@@ -50,18 +50,20 @@ class HelmholtzSplit:
 
 
 def project(u: VectorField) -> HelmholtzSplit:
-    """Spectral projectors P = I - kk^T/|k|^2 and Q = kk^T/|k|^2; the mean
-    velocity is assigned to P."""
+    """Spectral projectors P = I - Q and Q = kk^T/|k|^2, with k zeroed on
+    each axis's own Nyquist entry so that P u, Q u and d keep the Hermitian
+    symmetry of a real u; the mean velocity is assigned to P."""
     grid = u.grid
     shat = [_sdata(c) for c in u.components]
+    k = grid.k_odd
+    k2 = sum(a * a for a in k)
     with np.errstate(divide="ignore", invalid="ignore"):
-        inv_k2 = np.where(grid.k2 > 0, 1.0 / np.where(grid.k2 > 0, grid.k2, 1.0), 0.0)
-    k_dot_u = sum(grid.k[ax] * shat[ax] for ax in range(grid.dim))
-    q = [grid.k[ax] * k_dot_u * inv_k2 for ax in range(grid.dim)]
+        inv_k2 = np.where(k2 > 0, 1.0 / np.where(k2 > 0, k2, 1.0), 0.0)
+        inv_kmag = np.where(k2 > 0, 1.0 / np.sqrt(np.where(k2 > 0, k2, 1.0)), 0.0)
+    k_dot_u = sum(k[ax] * shat[ax] for ax in range(grid.dim))
+    q = [k[ax] * k_dot_u * inv_k2 for ax in range(grid.dim)]
     p = [shat[ax] - q[ax] for ax in range(grid.dim)]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv_kmag = np.where(grid.kmag > 0, 1.0 / np.where(grid.kmag > 0, grid.kmag, 1.0), 0.0)
-    d_hat = 1j * k_dot_u * inv_kmag  # so that Lambda d = div u
+    d_hat = 1j * k_dot_u * inv_kmag  # so that Lambda d = div u off the Nyquist planes
     return HelmholtzSplit(
         P=VectorField([Field(grid, arr, "spectral") for arr in p]),
         Q=VectorField([Field(grid, arr, "spectral") for arr in q]),

@@ -21,6 +21,7 @@ from .spectral import (
     Grid,
     GridMismatchError,
     _cell,
+    _inverse_real,
     _pdata,
     _sdata,
     dealias,
@@ -112,31 +113,11 @@ def active_scale_range(grid: Grid) -> tuple[int, int]:
     return jmin, jmax
 
 
-_mult_cache: dict = {}
-_MULT_CACHE_MAX = 512  # ~35 grids' worth of block multipliers
-
-
-def _cached_mult(key, compute) -> np.ndarray:
-    out = _mult_cache.get(key)
-    if out is None:
-        out = compute()
-        out.setflags(write=False)
-        _mult_cache[key] = out
-        while len(_mult_cache) > _MULT_CACHE_MAX:
-            _mult_cache.pop(next(iter(_mult_cache)))
-    return out
-
-
-def _phi_mult(grid: Grid, profile: CutoffProfile, j: int) -> np.ndarray:
-    return _cached_mult(
-        (grid, profile, "phi", j), lambda: profile.phi(np.ldexp(grid.kmag, -j))
-    )
-
-
-def _chi_mult(grid: Grid, profile: CutoffProfile, j: int) -> np.ndarray:
-    return _cached_mult(
-        (grid, profile, "chi", j), lambda: profile.chi(np.ldexp(grid.kmag, -j))
-    )
+def _shell_values(grid: Grid, fn, js) -> np.ndarray:
+    """fn(2^-j |k|) on every shell |m|^2 = 0, 1, ..., d (n/2)^2 of the grid's
+    lattice, one row per scale j; `grid.plan.msq` gathers a row onto modes."""
+    radii = grid.kmin * np.sqrt(np.arange(grid.dim * (grid.n // 2) ** 2 + 1))
+    return fn(np.ldexp(radii, -np.asarray(js)[:, None]))
 
 
 def dyadic_block(f: Field, j: int, profile: CutoffProfile | None = None) -> Field:
@@ -150,13 +131,15 @@ def dyadic_block(f: Field, j: int, profile: CutoffProfile | None = None) -> Fiel
             stacklevel=2,
         )
         return Field.zeros(f.grid)
-    return Field(f.grid, _phi_mult(f.grid, profile, j) * _sdata(f), "spectral")
+    phi = _shell_values(f.grid, profile.phi, [j])[0]
+    return Field(f.grid, phi[f.grid.plan.msq] * _sdata(f), "spectral")
 
 
 def low_pass(f: Field, j: int, profile: CutoffProfile | None = None) -> Field:
     """Low-pass at scale 2^j: multiplier chi(2^-j |k|); keeps the mean mode."""
     profile = profile or _DEFAULT
-    return Field(f.grid, _chi_mult(f.grid, profile, j) * _sdata(f), "spectral")
+    chi = _shell_values(f.grid, profile.chi, [j])[0]
+    return Field(f.grid, chi[f.grid.plan.msq] * _sdata(f), "spectral")
 
 
 @dataclass
@@ -244,34 +227,36 @@ def parse_norm_key(key: str) -> NormSpec:
 
 
 def _block_lp_norms(f, p, profile, js):
-    """L^p norm of each dyadic block; fast spectral path for p=2."""
-    if isinstance(f, VectorField):
-        grid = f.grid
-        if p == 2:
-            power = sum(np.abs(_sdata(c)) ** 2 for c in f.components)
-            return [
-                float(np.sqrt(grid.volume * np.sum(_phi_mult(grid, profile, j) ** 2 * power)))
-                for j in js
-            ]
-        blocks = [
-            [np.real(_pdata(dyadic_block(c, j, profile))) for c in f.components] for j in js
-        ]
-        out = []
-        for comp_blocks in blocks:
-            mag = np.sqrt(sum(b**2 for b in comp_blocks))
-            if p == np.inf:
-                out.append(float(np.max(mag)))
-            else:
-                out.append(float((np.sum(mag**p) * _cell(grid)) ** (1.0 / p)))
-        return out
+    """L^p norm of each dyadic block; vector fields through the pointwise
+    Euclidean magnitude of their blocks. For p=2 one bincount of the spectral
+    power over shells (Parseval); otherwise each block is inverted from the
+    half spectrum, one scale at a time."""
     grid = f.grid
+    comps = f.components if isinstance(f, VectorField) else (f,)
+    phi = _shell_values(grid, profile.phi, js)
+    msq = grid.plan.msq
     if p == 2:
-        power = np.abs(_sdata(f)) ** 2
-        return [
-            float(np.sqrt(grid.volume * np.sum(_phi_mult(grid, profile, j) ** 2 * power)))
-            for j in js
-        ]
-    return [lebesgue_norm(dyadic_block(f, j, profile), p) for j in js]
+        power = sum(np.abs(_sdata(c)) ** 2 for c in comps)
+        shells = np.bincount(msq.ravel(), weights=power.ravel(), minlength=phi.shape[1])
+        return [float(np.sqrt(grid.volume * v)) for v in phi**2 @ shells]
+    h = grid.n // 2 + 1
+    msq_half = msq[..., :h]
+    halves = [_sdata(c)[..., :h] for c in comps]
+    out = []
+    for row in phi:
+        if not row.any():
+            out.append(0.0)
+            continue
+        mult = row[msq_half]
+        mag2 = np.zeros(grid.shape)  # squared pointwise magnitude of the block
+        for half in halves:
+            b = _inverse_real(grid, mult * half)
+            mag2 += np.multiply(b, b, out=b)
+        if p == np.inf:
+            out.append(float(np.sqrt(np.max(mag2))))
+        else:
+            out.append(float((np.sum(mag2 ** (p / 2)) * _cell(grid)) ** (1.0 / p)))
+    return out
 
 
 def _ell_r(values: np.ndarray, r) -> float:
@@ -425,10 +410,10 @@ def bony_decompose(u: Field, v: Field, profile: CutoffProfile | None = None):
     js = list(range(jmin, jmax + 1))
 
     ut, vt = dealias(u), dealias(v)
-    ub = {j: np.real(_pdata(dyadic_block(ut, j, profile))) for j in js}
-    vb = {j: np.real(_pdata(dyadic_block(vt, j, profile))) for j in js}
-    ulow = {j: np.real(_pdata(low_pass(ut, j - 1, profile))) for j in js}
-    vlow = {j: np.real(_pdata(low_pass(vt, j - 1, profile))) for j in js}
+    ub = {j: _pdata(dyadic_block(ut, j, profile)) for j in js}
+    vb = {j: _pdata(dyadic_block(vt, j, profile)) for j in js}
+    ulow = {j: _pdata(low_pass(ut, j - 1, profile)) for j in js}
+    vlow = {j: _pdata(low_pass(vt, j - 1, profile)) for j in js}
 
     tuv = np.zeros(grid.shape)
     tvu = np.zeros(grid.shape)
@@ -452,11 +437,10 @@ def partition_of_unity_error(grid: Grid, profile: CutoffProfile | None = None) -
     """max over active nonzero lattice modes of |1 - sum_j phi(2^-j |k|)|."""
     profile = profile or _DEFAULT
     jmin, jmax = active_scale_range(grid)
-    total = np.zeros_like(grid.kmag)
-    for j in range(jmin, jmax + 1):
-        total += _phi_mult(grid, profile, j)
-    nonzero = grid.kmag > 0
-    return float(np.max(np.abs(total[nonzero] - 1.0)))
+    total = np.sum(_shell_values(grid, profile.phi, range(jmin, jmax + 1)), axis=0)
+    occupied = np.bincount(grid.plan.msq.ravel(), minlength=len(total)) > 0
+    occupied[0] = False
+    return float(np.max(np.abs(total[occupied] - 1.0)))
 
 
 def _deriv_magnitude(f: Field, order: int) -> Field:
@@ -467,7 +451,7 @@ def _deriv_magnitude(f: Field, order: int) -> Field:
     if order == 0:
         return f
     if order == 1:
-        comps = [np.real(_pdata(c)) for c in gradient(f).components]
+        comps = [_pdata(c) for c in gradient(f).components]
         return Field.from_physical(f.grid, np.sqrt(sum(c**2 for c in comps)))
     return Field(f.grid, f.grid.kmag**order * _sdata(f), "spectral")
 

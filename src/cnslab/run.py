@@ -146,9 +146,10 @@ def _checkpointer(runconfig, chash, outdir):
 def _run_single(runconfig, state0, scenario_records, chash, outdir=None):
     series = DiagnosticSeries(metadata={"config_hash": chash, "scenario": dict(scenario_records)})
     observe = make_observer(runconfig.params, runconfig.diagnostics, series)
+    counters = {}
     _, final_state, fault = integrate(
         state0, runconfig.solver, runconfig.params, observe=observe,
-        on_snapshot=_checkpointer(runconfig, chash, outdir),
+        on_snapshot=_checkpointer(runconfig, chash, outdir), counters=counters,
     )
     series.fault = fault
     summary = {
@@ -159,15 +160,16 @@ def _run_single(runconfig, state0, scenario_records, chash, outdir=None):
         "fits": _fit_summary(series, runconfig, state0.grid),
         "conlf_witness": _conlf_witness(series, runconfig),
         "lyapunov_constants": series.metadata.get("lyapunov_constants"),
+        "counters": counters,
     }
     summary["_final_state"] = final_state  # stripped before JSON emission
     return series, summary
 
 
-def run_pair(runconfig, ref_state, pert_state, pair_norm_p, pair_R0):
+def run_pair(runconfig, ref_state, pert_state, pair_norm_p, pair_R0, counters=None):
     """Integrate reference and perturbed states in lockstep, recording the
     reference diagnostics and the perturbation-size norm of their difference
-    at the snapshot cadence."""
+    at the snapshot cadence; `counters` as in `integrate`."""
     series = DiagnosticSeries()
     observe_ref = make_observer(runconfig.params, runconfig.diagnostics, series)
     diffs = []
@@ -181,7 +183,8 @@ def run_pair(runconfig, ref_state, pert_state, pair_norm_p, pair_R0):
         diffs.append((ref.t, parts))
 
     _, _, fault = integrate(
-        (ref_state, pert_state), runconfig.solver, runconfig.params, observe=observe
+        (ref_state, pert_state), runconfig.solver, runconfig.params, observe=observe,
+        counters=counters,
     )
     series.fault = fault
     return series, diffs, fault
@@ -189,8 +192,10 @@ def run_pair(runconfig, ref_state, pert_state, pair_norm_p, pair_R0):
 
 def _run_stability(runconfig, built, chash):
     base, pert, pert_records = built
+    counters = {}
     series, diffs, fault = run_pair(
-        runconfig, base.state, pert.state, runconfig.scenario.p, runconfig.scenario.R0
+        runconfig, base.state, pert.state, runconfig.scenario.p, runconfig.scenario.R0,
+        counters=counters,
     )
     series.metadata["config_hash"] = chash
     diff_totals = [p["total"] for _, p in diffs]
@@ -207,6 +212,7 @@ def _run_stability(runconfig, built, chash):
         "lyapunov_constants": series.metadata.get("lyapunov_constants"),
         "energy_balance": energy_balance_residual(series) if len(series) > 1 else None,
         "final_time": series.times[-1] if series.times else 0.0,
+        "counters": counters,
     }
     return series, summary
 

@@ -164,7 +164,7 @@ def _spectrally_shaped_field(grid: Grid, rng, slope: float = -2.5, kcut: float |
         coeffs[idx] += val
         coeffs[cidx] += np.conj(val)
     f = Field(grid, coeffs, "spectral")
-    peak = np.max(np.abs(np.real(_pdata(f))))
+    peak = np.max(np.abs(_pdata(f)))
     return Field(grid, _sdata(f) / peak, "spectral")
 
 
@@ -212,10 +212,8 @@ def equilibrium_perturbation(
         for _ in range(grid.dim):
             shaped = _spectrally_shaped_field(grid, rng)
             carrier = 0.5 * rng.choice([-1.0, 1.0])
-            with_mean = Field.from_physical(
-                grid, np.real(_pdata(shaped)) + carrier
-            )
-            peak = np.max(np.abs(np.real(_pdata(with_mean))))
+            with_mean = Field.from_physical(grid, _pdata(shaped) + carrier)
+            peak = np.max(np.abs(_pdata(with_mean)))
             v.append((1.0 / peak) * with_mean)
     a0 = epsilon * g
     u0 = VectorField([epsilon * c for c in v])
@@ -223,7 +221,7 @@ def equilibrium_perturbation(
         raise ValueError(f"epsilon={epsilon:g} drives the density nonpositive")
     from .spectral import dealiased_product
 
-    rho_field = Field.from_physical(grid, 1.0 + np.real(_pdata(a0)))
+    rho_field = Field.from_physical(grid, 1.0 + _pdata(a0))
     rho_u = VectorField([dealiased_product(rho_field, c) for c in u0.components])
     records = {
         "a0_lp0": lebesgue_norm(a0, p0),
@@ -261,8 +259,8 @@ def oscillating_data(
         )
     eps_snapped = 1.0 / (m3 * base)
     phi = Field.from_physical(grid, smooth_bump(grid, radius=bump_radius))
-    d1 = np.real(_pdata(partial_deriv(phi, 0)))
-    d2 = np.real(_pdata(partial_deriv(phi, 1)))
+    d1 = _pdata(partial_deriv(phi, 0))
+    d2 = _pdata(partial_deriv(phi, 1))
     carrier = np.sin(grid.x[2] / eps_snapped)
     u0 = VectorField(
         [

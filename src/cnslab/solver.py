@@ -21,9 +21,10 @@ from .spectral import (
     _forward_half,
     _full_from_half,
     _inverse_real,
-    _real_samples,
+    _pdata,
     _sdata,
     dealias,
+    transform_count,
 )
 
 __all__ = [
@@ -146,7 +147,7 @@ class FlowState:
     @property
     def rho_phys(self) -> np.ndarray:
         if "rho" not in self._cache:
-            self._cache["rho"] = 1.0 + _real_samples(self.a)
+            self._cache["rho"] = 1.0 + _pdata(self.a)
         return self._cache["rho"]
 
     @property
@@ -198,6 +199,13 @@ class FlowState:
             r = self.rhs
             self._cache["u_dot"] = r.du + r.conv
         return self._cache["u_dot"]
+
+    def drop_derived(self):
+        """Free the cached derived fields and the memoized samples of a and u;
+        they are rebuilt on demand."""
+        self._cache.clear()
+        for f in (self.a, *self.u.components):
+            f._alt = None
 
     @property
     def mean_a(self) -> float:
@@ -295,25 +303,16 @@ def _viscous_exponential(grid, params: PhysicalParams, dt: float):
     return got
 
 
-def _coupling_k(grid):
-    """Wavenumbers of the grad-div coupling k_i (k . u), each with its own
-    Nyquist row (m_i = -n/2) zeroed, so that k_i k_j keeps the Hermitian
-    symmetry of real fields. One broadcast axis per component."""
-    k1 = grid.k1.copy()
-    k1[grid.n // 2] = 0.0
-    return [k1.reshape([-1 if b == ax else 1 for b in range(grid.dim)]) for ax in range(grid.dim)]
-
-
 def _apply_viscous_exponential(grid, params, dt, u_hats):
     dec_p, dq = _viscous_exponential(grid, params, dt)
-    k = _coupling_k(grid)
+    k = grid.k_odd
     k_dot_u = sum(k[ax] * u_hats[ax] for ax in range(grid.dim))
     return [dec_p * u_hats[ax] + dq * k[ax] * k_dot_u for ax in range(grid.dim)]
 
 
 def _linear_viscous_hat(grid, params, u_hats):
     """Spectral image of mu Lap u + (lambda+mu) grad div u."""
-    k = _coupling_k(grid)
+    k = grid.k_odd
     k_dot_u = sum(k[ax] * u_hats[ax] for ax in range(grid.dim))
     return [
         -params.mu * grid.k2 * u_hats[ax] - (params.lam + params.mu) * k[ax] * k_dot_u
@@ -373,7 +372,7 @@ def _advance(state: FlowState, dt: float, config: SolverConfig, params: Physical
 
 
 def cfl_dt_bound(state: FlowState, config: SolverConfig) -> float:
-    umax = float(np.max(np.sqrt(sum(_real_samples(c) ** 2 for c in state.u.components))))
+    umax = float(np.max(np.sqrt(sum(_pdata(c) ** 2 for c in state.u.components))))
     return config.cfl_target * state.grid.dx / (umax + state.sound_speed_max())
 
 
@@ -434,6 +433,7 @@ def integrate(
     params: PhysicalParams,
     observe=None,
     on_snapshot=None,
+    counters: dict | None = None,
 ):
     """March to the horizon, invoking `observe(state, extras)` at the snapshot
     cadence. Returns (records, final_state, fault); on a runtime fault the
@@ -451,6 +451,10 @@ def integrate(
     (zero for a state on the grid), not summed over substeps. extras carries
     the accumulated dissipation integral (trapezoidal at step boundaries), so
     energy-balance residuals refine at the scheme's order.
+
+    A `counters` dict receives the deterministic counts of the run: steps
+    taken, snapshots taken, and the real transforms made while stepping and
+    while observing (`spectral.transform_count`).
     """
     if config.strict_mode:
         params.validate_strict()
@@ -464,25 +468,34 @@ def integrate(
     fault = None
     diss_cum = 0.0
     d_prev = dissipation_rate(states[0], params)
+    counters = {} if counters is None else counters
+    counters.update(steps=0, snapshots=0, transforms_stepping=0, transforms_observe=0)
 
     def take(istep):
         current = states if batch else states[0]
         extras = {"diss_cum": diss_cum, "step": istep, "dt": dt}
+        before = transform_count()
         if observe is not None:
             records.append(observe(current, extras))
         if on_snapshot is not None:
             on_snapshot(current, istep)
+        counters["snapshots"] += 1
+        counters["transforms_observe"] += transform_count() - before
 
     take(start)
     for istep in range(start + 1, int(round(config.T / dt)) + 1):
         stepped = []
+        before = transform_count()
         try:
             for s in states:
                 stepped.append(step(s, config, params))
-                s._cache.clear()  # s is kept only to be returned on a fault: drop its derived fields
+                s.drop_derived()  # s is kept only to be returned on a fault
         except (PositivityFault, CFLError) as exc:
             fault = {"type": type(exc).__name__, "time": states[0].t, "message": str(exc)}
             break
+        finally:
+            counters["transforms_stepping"] += transform_count() - before
+        counters["steps"] += 1
         states = tuple(stepped)
         for s in states:
             s.t = origin + istep * dt

@@ -5,14 +5,16 @@ All spectral coefficients follow the Fourier-series convention
 f(x) = sum_k fhat(k) exp(i k.x), so the k=0 coefficient is the mean of the
 field and a unit sine carries two conjugate coefficients of magnitude 1/2.
 
-Fields always store the full spectrum. Real samples are transformed by one
-real pair: `_forward_real` runs `rfftn` and rebuilds the other half of the
-spectrum by Hermitian symmetry, and `_inverse_real` runs `irfftn` on the
-half `coeffs[..., :n//2+1]`. Code that works on the half spectrum itself (the
-solver's right-hand side) takes its multipliers from `Grid.plan`, a
-`HalfPlan` built on first use and owned by the grid: the half-spectrum `k`,
-`k^2`, 2/3-rule mask, `ik` with the Nyquist rows zeroed, and the gather
-index of the Hermitian fill. Complex samples keep the complex `fftn`/`ifftn`.
+Fields hold real samples or the full spectrum of real samples (complex samples
+are refused). Every transform is one of a counted real pair
+(`transform_count`): `_forward_real` runs `rfftn` and rebuilds the other half
+of the spectrum by Hermitian symmetry, and `_inverse_real` runs `irfftn` on
+the half `coeffs[..., :n//2+1]`. Code that works on the half spectrum itself
+(the solver's right-hand side, the Littlewood-Paley blocks) takes its
+multipliers from `Grid.plan`, a `HalfPlan` built on first use and owned by the
+grid: the half-spectrum `k`, `k^2`, 2/3-rule mask, `ik` with the Nyquist rows
+zeroed, the shell index |m|^2 of every mode, and the gather index of the
+Hermitian fill.
 """
 
 from __future__ import annotations
@@ -44,15 +46,14 @@ __all__ = [
     "lebesgue_norm",
     "sobolev_norm",
     "mean_value",
-    "vector_from_components",
+    "transform_count",
 ]
 
 SPECTRAL = "spectral"
 PHYSICAL = "physical"
 
-# Imaginary parts below this relative size are treated as round-off when a
-# spectral field is known to come from real samples.
-_REALITY_TOL = 1e-10
+# Real transforms made by this process: calls of _forward_half and _inverse_real.
+_transform_calls = 0
 
 
 class GridError(ValueError):
@@ -114,6 +115,7 @@ class Grid:
         "x",
         "dealias_mask",
         "nyquist_free",
+        "k_odd",
         "kmin",
         "kmax",
         "_plan",
@@ -150,10 +152,16 @@ class Grid:
         for mg in mgrids:
             nyq_ok &= mg != -self.n // 2
         self.nyquist_free = nyq_ok
+        # k_i with its own Nyquist entry zeroed, one broadcast axis each: odd in
+        # m, so products k_i k_j keep the Hermitian symmetry of real fields
+        k1_odd = np.where(m == -self.n // 2, 0.0, self.k1)
+        self.k_odd = tuple(k1_odd.reshape([-1 if b == ax else 1 for b in range(self.dim)])
+                           for ax in range(self.dim))
 
         self.kmin = 2.0 * np.pi / self.length
         self.kmax = float(np.max(self.kmag))
-        for arr in (self.k1, self.k2, self.kmag, self.dealias_mask, self.nyquist_free):
+        for arr in (self.k1, self.k2, self.kmag, self.dealias_mask, self.nyquist_free,
+                    *self.k_odd):
             arr.setflags(write=False)
         self._plan = None
 
@@ -191,14 +199,17 @@ def make_grid(n_per_dim: int, box_length: float, dim: int = 3) -> Grid:
 
 class HalfPlan:
     """Multipliers of one grid on the half spectrum of `rfftn` (last axis
-    cut to its first n//2+1 modes), and the gather index that rebuilds the
-    full spectrum from the half by Hermitian symmetry."""
+    cut to its first n//2+1 modes), the gather index that rebuilds the
+    full spectrum from the half by Hermitian symmetry, and the shell index
+    `msq` = |m|^2 of every mode of the full spectrum (integer lattice
+    indices m); its view `msq[..., :n//2+1]` indexes the half spectrum."""
 
-    __slots__ = ("k", "k2", "mask", "ik", "gather")
+    __slots__ = ("k", "k2", "mask", "ik", "gather", "msq")
 
     def __init__(self, grid: Grid):
         n, h = grid.n, grid.n // 2 + 1
         half = (Ellipsis, slice(0, h))
+        self.msq = np.rint(grid.k2 / grid.kmin**2).astype(np.intp)  # |m|^2 = k^2 / kmin^2
         self.k = tuple(np.ascontiguousarray(a[half]) for a in grid.k)
         self.k2 = np.ascontiguousarray(grid.k2[half])
         self.mask = np.ascontiguousarray(grid.dealias_mask[half])
@@ -208,15 +219,16 @@ class HalfPlan:
         neg = (-np.arange(n)) % n
         rows = np.ix_(*([neg] * (grid.dim - 1) + [n - np.arange(h, n)]))
         self.gather = np.ravel_multi_index(rows, self.k2.shape)
-        for arr in (*self.k, self.k2, self.mask, *self.ik, self.gather):
+        for arr in (*self.k, self.k2, self.mask, *self.ik, self.gather, self.msq):
             arr.setflags(write=False)
 
 
 class Field:
-    """Scalar field on a Grid, stored either as spectral coefficients or
-    physical samples. Data arrays are frozen; every operation returns a new
-    Field, so values can be shared freely between workers. The transform to
-    the other representation is memoized (it is a pure function of the data)."""
+    """Real scalar field on a Grid, stored either as spectral coefficients or
+    real physical samples. Data arrays are frozen; every operation returns a
+    new Field, so values can be shared freely between workers. The transform
+    to the other representation is memoized (it is a pure function of the
+    data)."""
 
     __slots__ = ("grid", "data", "rep", "_alt")
 
@@ -226,9 +238,9 @@ class Field:
         if data.shape != grid.shape:
             raise ValueError(f"data shape {data.shape} does not match grid {grid.shape}")
         self.grid = grid
-        if rep == SPECTRAL and data.dtype != np.complex128:
-            data = data.astype(np.complex128)
-        data = np.ascontiguousarray(data)
+        if rep == PHYSICAL and np.iscomplexobj(data):
+            raise ValueError("physical samples must be real")
+        data = np.ascontiguousarray(data, dtype=np.complex128 if rep == SPECTRAL else np.float64)
         data.setflags(write=False)
         self.data = data
         self.rep = rep
@@ -323,17 +335,20 @@ class VectorField:
         return VectorField([-c for c in self.components])
 
 
-def vector_from_components(*fields) -> VectorField:
-    return VectorField(fields)
-
-
 def _check_same_grid(f, g):
     if not f.grid.compatible(g.grid):
         raise GridMismatchError(f"grid mismatch: {f.grid!r} vs {g.grid!r}")
 
 
+def transform_count() -> int:
+    """Real transforms (forward and inverse) this process has made so far."""
+    return _transform_calls
+
+
 def _forward_half(samples: np.ndarray) -> np.ndarray:
     """Half-spectrum coefficients of real samples."""
+    global _transform_calls
+    _transform_calls += 1
     return _fft.rfftn(samples, norm="forward")
 
 
@@ -354,14 +369,9 @@ def _forward_real(grid: Grid, samples: np.ndarray) -> np.ndarray:
 
 def _inverse_real(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
     """Real samples of Hermitian coefficients, given in full or half layout."""
+    global _transform_calls
+    _transform_calls += 1
     return _fft.irfftn(coeffs[..., : grid.n // 2 + 1], s=grid.shape, norm="forward")
-
-
-def _real_samples(f: Field) -> np.ndarray:
-    """Samples of a field known to be real, without the reality test of _pdata."""
-    if f.rep == PHYSICAL:
-        return np.real(f.data)
-    return _inverse_real(f.grid, f.data)
 
 
 def _sdata(f: Field) -> np.ndarray:
@@ -369,24 +379,19 @@ def _sdata(f: Field) -> np.ndarray:
     if f.rep == SPECTRAL:
         return f.data
     if f._alt is None:
-        if np.iscomplexobj(f.data):
-            out = _fft.fftn(np.asarray(f.data, dtype=np.complex128)) / f.grid.n**f.grid.dim
-        else:
-            out = _forward_real(f.grid, f.data)
+        out = _forward_real(f.grid, f.data)
         out.setflags(write=False)
         f._alt = out
     return f._alt
 
 
 def _pdata(f: Field) -> np.ndarray:
-    """Physical samples of f; real-valued when the imaginary part is round-off."""
+    """Real physical samples of f (computing the transform if needed), from
+    the half spectrum, which holds all of a Hermitian spectrum."""
     if f.rep == PHYSICAL:
         return f.data
     if f._alt is None:
-        out = _fft.ifftn(f.data) * f.grid.n**f.grid.dim
-        scale = np.max(np.abs(out)) or 1.0
-        if np.max(np.abs(out.imag)) <= _REALITY_TOL * scale:
-            out = np.ascontiguousarray(out.real)
+        out = _inverse_real(f.grid, f.data)
         out.setflags(write=False)
         f._alt = out
     return f._alt
@@ -489,7 +494,7 @@ def nonlinear_map(f: Field, fn, time=None) -> Field:
     if not np.all(np.isfinite(mapped)):
         raise PositivityFault(
             f"pointwise map left its domain (min input sample {samples.min():.6g})",
-            min_value=float(np.min(samples.real)),
+            min_value=float(np.min(samples)),
             time=time,
         )
     return dealias(Field.from_physical(f.grid, mapped))
@@ -507,7 +512,7 @@ def lebesgue_norm(f, p) -> float:
     """L^p norm over the box; accepts a Field or a VectorField (pointwise
     Euclidean magnitude)."""
     if isinstance(f, VectorField):
-        mag2 = sum(np.abs(_pdata(c)) ** 2 for c in f.components)
+        mag2 = sum(_pdata(c) ** 2 for c in f.components)
         vals = np.sqrt(mag2)
         grid = f.grid
     else:
@@ -523,7 +528,8 @@ def lebesgue_norm(f, p) -> float:
 
 def mean_value(f: Field) -> float:
     v = _sdata(f)[(0,) * f.grid.dim]
-    return float(v.real) if abs(v.imag) <= _REALITY_TOL * (abs(v) + 1.0) else complex(v)
+    # a spectrum built by hand may carry a complex mean; round-off is not one
+    return float(v.real) if abs(v.imag) <= 1e-10 * (abs(v) + 1.0) else complex(v)
 
 
 def sobolev_norm(f, s: float, homogeneous: bool = False) -> float:

@@ -75,6 +75,33 @@ class TestExecuteRun:
         for name in ("series.csv", "summary.json", "final.ckpt"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
+    def test_summary_counters(self, tmp_path, small_cfg):
+        _, summary = execute_run(small_cfg, outdir=tmp_path)
+        counters = json.loads((tmp_path / "summary.json").read_text())["counters"]
+        assert counters == summary["counters"]
+        assert set(counters) == {"steps", "snapshots", "transforms_stepping", "transforms_observe"}
+        assert counters["steps"] == 10 and counters["snapshots"] == 6
+        assert counters["transforms_stepping"] > 0 and counters["transforms_observe"] > 0
+
+    def test_run_grows_no_module_container(self, small_cfg):
+        import cnslab.lp as lp
+        import cnslab.solver as solver
+        import cnslab.spectral as spectral
+
+        def containers():
+            # the viscous exponentials of solver._expfac_cache are keyed on dt
+            return {
+                (mod.__name__, name): list(val.keys()) if isinstance(val, dict) else len(val)
+                for mod in (spectral, lp, solver)
+                for name, val in vars(mod).items()
+                if isinstance(val, (dict, list, set)) and not name.startswith("__")
+                and name != "_expfac_cache"
+            }
+
+        before = containers()
+        execute_run(small_cfg)
+        assert containers() == before
+
     def test_resume_matches_uninterrupted(self, tmp_path):
         half_text = SMALL_CONFIG.replace("T = 0.5", "T = 0.25")
         half_cfg = parse_config(half_text)
@@ -182,6 +209,8 @@ class TestCli:
         ("cadence = uniform:0.1", "cadence = bogus"),
         ("cadence = uniform:0.1", "cadence = uniform:-0.1"),
         ("p0_list = 1", "p0_list = 1\np_list = 0.5"),
+        ("p0_list = 1", "p0_list = 1\nholder_every = 0"),
+        ("formats = csv,json,checkpoint", "formats = csv,json,checkpoint\ncheckpoint_every = -2"),
     ])
     def test_invalid_value_exits_before_the_run(self, tmp_path, capsys, edit):
         bad = tmp_path / "bad.cfg"

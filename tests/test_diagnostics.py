@@ -1,6 +1,7 @@
 """Energy functionals, Lyapunov machinery, low-frequency mass, decay fits,
 and the series container."""
 
+import itertools
 import math
 
 import numpy as np
@@ -30,6 +31,7 @@ from cnslab.spectral import (
     Field,
     PositivityFault,
     VectorField,
+    _pdata,
     constant_field,
     field_from_function,
     lebesgue_norm,
@@ -322,6 +324,26 @@ class TestHolderNorm:
                         diff = abs(vals[(i + di) % n, (j + dj) % n] - vals[i, j])
                         best = max(best, diff / (math.sqrt(d2) * grid.dx) ** alpha)
         assert got == pytest.approx(best + np.max(np.abs(vals)), rel=1e-12)
+
+    @pytest.mark.parametrize("dim,radius", [(2, 3), (3, 2), (3, 4)])
+    def test_bit_equal_to_rolled_copies(self, dim, radius):
+        grid = make_grid(16, 2.0 * np.pi, dim)
+        f = random_field(grid, seed=dim + radius)
+        alpha = 0.25
+        vals = _pdata(f)
+        best = 0.0
+        seen = set()
+        for offset in itertools.product(range(-radius, radius + 1), repeat=dim):
+            if offset == (0,) * dim or offset in seen:
+                continue
+            seen.update({offset, tuple(-o for o in offset)})
+            dist2 = sum(o * o for o in offset)
+            if dist2 > radius * radius:
+                continue
+            shifted = np.roll(vals, shift=offset, axis=tuple(range(dim)))
+            quot = np.max(np.abs(shifted - vals)) / (math.sqrt(dist2) * grid.dx) ** alpha
+            best = max(best, float(quot))
+        assert holder_norm(f, alpha, radius) == best + float(np.max(np.abs(vals)))
 
     def test_alpha_ordering_inequality(self, grid16):
         f = random_field(grid16, seed=11, band=(0.5, 3.0))

@@ -14,6 +14,7 @@ from cnslab.helmholtz import (
 from cnslab.spectral import (
     Field,
     VectorField,
+    _sdata,
     constant_field,
     divergence,
     field_from_function,
@@ -97,6 +98,47 @@ class TestProjection:
         spl = project(u)
         err = lebesgue_norm(lambda_power(spl.d, 1.0) - divergence(u), 2)
         assert err <= 1e-10 * lebesgue_norm(divergence(u), 2)
+
+
+def _hermitian_defect(coeffs):
+    """max |c(m) - conj(c(-m))| over the full spectrum, indices mod n."""
+    axes = tuple(range(coeffs.ndim))
+    flipped = np.roll(np.flip(coeffs, axis=axes), shift=(1,) * coeffs.ndim, axis=axes)
+    return np.max(np.abs(coeffs - np.conj(flipped)))
+
+
+class TestProjectionOfUnfilteredData:
+    """Random samples carry content on the Nyquist planes, where k = -n/2 is
+    its own conjugate partner; the split must stay the split of a real u."""
+
+    @pytest.fixture()
+    def split(self, grid16):
+        rng = np.random.default_rng(4)
+        u = VectorField([Field.from_physical(grid16, rng.standard_normal(grid16.shape))
+                         for _ in range(3)])
+        return u, project(u)
+
+    def test_parts_are_hermitian(self, split):
+        u, spl = split
+        scale = max(np.max(np.abs(_sdata(c))) for c in u)
+        for f in (*spl.P, *spl.Q, spl.d):
+            assert _hermitian_defect(_sdata(f)) <= 1e-14 * scale
+
+    def test_parts_sum_to_u(self, split):
+        u, spl = split
+        for c, p, q in zip(u, spl.P, spl.Q):
+            assert np.max(np.abs(_sdata(p) + _sdata(q) - _sdata(c))) <= 1e-14
+
+    def test_p_is_idempotent(self, split):
+        _, spl = split
+        again = project(spl.P)
+        for p, pp, qq in zip(spl.P, again.P, again.Q):
+            assert np.max(np.abs(_sdata(pp) - _sdata(p))) <= 1e-14
+            assert np.max(np.abs(_sdata(qq))) <= 1e-14
+
+    def test_divergence_of_p_part_is_zero(self, split):
+        _, spl = split
+        assert np.max(np.abs(_sdata(divergence(spl.P)))) <= 1e-14
 
 
 class TestLambdaPower:

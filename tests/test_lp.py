@@ -25,8 +25,11 @@ from cnslab.lp import (
     time_besov_norm,
     truncated_besov_norm,
 )
+from cnslab.lp import _block_lp_norms
 from cnslab.spectral import (
     Field,
+    VectorField,
+    _sdata,
     constant_field,
     dealiased_product,
     field_from_function,
@@ -109,6 +112,86 @@ class TestDyadicBlocks:
         f = random_field(grid16, seed=4)
         b = to_physical(dyadic_block(f, 1))
         assert not np.iscomplexobj(b.data)
+
+
+def _direct_block_norms(f, p, js):
+    """Block L^p norms from the full-spectrum multiplier phi(2^-j |k|) on
+    every mode and the complex inverse transform."""
+    grid = f.grid
+    comps = f.components if isinstance(f, VectorField) else (f,)
+    out = []
+    for j in js:
+        mult = default_profile().phi(np.ldexp(grid.kmag, -j))
+        if p == 2:
+            power = sum(np.abs(mult * _sdata(c)) ** 2 for c in comps)
+            out.append(np.sqrt(grid.volume * np.sum(power)))
+            continue
+        blocks = [np.real(np.fft.ifftn(mult * _sdata(c))) * grid.n**grid.dim for c in comps]
+        mag = np.sqrt(sum(b**2 for b in blocks))
+        out.append(np.max(mag) if p == np.inf else (np.sum(mag**p) * grid.dx**grid.dim) ** (1 / p))
+    return np.asarray(out)
+
+
+class TestShellTable:
+    @pytest.mark.parametrize("vector", [False, True])
+    @pytest.mark.parametrize("p", [2.0, 4.0, np.inf])
+    @pytest.mark.parametrize("n,dim", [(16, 3), (24, 2)])
+    def test_block_norms_match_full_spectrum_multipliers(self, n, dim, p, vector):
+        grid = make_grid(n, 2.0 * np.pi, dim)
+        comps = [random_field(grid, seed=s) for s in range(dim if vector else 1)]
+        f = VectorField(comps) if vector else comps[0]
+        jmin, jmax = active_scale_range(grid)
+        js = list(range(jmin, jmax + 1))
+        got = np.asarray(_block_lp_norms(f, p, default_profile(), js))
+        ref = _direct_block_norms(f, p, js)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(ref)
+        weights = 2.0 ** (0.5 * np.asarray(js))
+        direct = np.sum(weights * _direct_block_norms(_demeaned_any(f), p, js))
+        assert besov_norm(f, 0.5, p, 1, warn_mean=False) == pytest.approx(direct, rel=1e-13)
+
+    @pytest.mark.parametrize("n,dim", [(16, 3), (24, 2)])
+    def test_block_and_low_pass_multipliers(self, n, dim):
+        grid = make_grid(n, 2.0 * np.pi, dim)
+        f = random_field(grid, seed=3)
+        prof = default_profile()
+        jmin, jmax = active_scale_range(grid)
+        for j in range(jmin, jmax + 1):
+            phi = prof.phi(np.ldexp(grid.kmag, -j))
+            chi = prof.chi(np.ldexp(grid.kmag, -j))
+            scale = np.max(np.abs(_sdata(f)))
+            assert np.max(np.abs(_sdata(dyadic_block(f, j)) - phi * _sdata(f))) <= 1e-15 * scale
+            assert np.max(np.abs(_sdata(low_pass(f, j)) - chi * _sdata(f))) <= 1e-15 * scale
+
+    def test_partition_of_unity_error_matches_modes(self, grid32):
+        jmin, jmax = active_scale_range(grid32)
+        total = sum(default_profile().phi(np.ldexp(grid32.kmag, -j)) for j in range(jmin, jmax + 1))
+        direct = np.max(np.abs(total[grid32.kmag > 0] - 1.0))
+        assert abs(partition_of_unity_error(grid32) - direct) <= 1e-15
+
+    def test_shell_index_layout(self, grid16):
+        msq = grid16.plan.msq
+        m = np.fft.fftfreq(16, d=1.0 / 16)
+        expected = sum(a**2 for a in np.meshgrid(m, m, m, indexing="ij"))
+        assert msq.shape == grid16.shape and np.array_equal(msq, expected)
+        assert msq.max() == 3 * 8**2
+
+    def test_no_multiplier_cache(self, grid16):
+        import cnslab.lp as lp
+
+        f = random_field(grid16, seed=8)
+        before = {k: len(v) for k, v in vars(lp).items() if isinstance(v, (dict, list, set))}
+        besov_norm(f, 0.5, 4, 1, warn_mean=False)
+        dyadic_block(f, 0)
+        low_pass(f, 1)
+        after = {k: len(v) for k, v in vars(lp).items() if isinstance(v, (dict, list, set))}
+        assert after == before
+        assert not hasattr(lp, "_mult_cache")
+
+
+def _demeaned_any(f):
+    if isinstance(f, VectorField):
+        return VectorField([_demeaned(c) for c in f.components])
+    return _demeaned(f)
 
 
 class TestDyadicDecomposition:

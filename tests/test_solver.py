@@ -25,7 +25,6 @@ from cnslab.spectral import (
     HalfPlan,
     PositivityFault,
     VectorField,
-    _pdata,
     _sdata,
     constant_field,
     dealiased_product,
@@ -294,7 +293,7 @@ class TestStep:
 
     def test_unfiltered_data_stays_hermitian(self):
         # random samples carry Nyquist content; the grad-div coupling of the
-        # viscous exponential must keep every velocity sample real
+        # viscous exponential must keep every velocity spectrum Hermitian
         grid = make_grid(16, 2 * np.pi, 3)
         rng = np.random.default_rng(0)
         a = Field.from_physical(grid, 0.01 * rng.standard_normal(grid.shape))
@@ -302,7 +301,9 @@ class TestStep:
                          for _ in range(3)])
         nxt = step(FlowState(0.0, a, u, PARAMS), SolverConfig(dt=1e-3, T=1e-3), PARAMS)
         for c in nxt.u.components:
-            assert np.max(np.abs(np.imag(_pdata(c)))) <= 1e-14
+            s = _sdata(c)
+            flipped = np.roll(np.conj(s[::-1, ::-1, ::-1]), shift=(1, 1, 1), axis=(0, 1, 2))
+            assert np.max(np.abs(s - flipped)) <= 1e-14 * np.max(np.abs(s))
 
     def test_cfl_fixed_mode_raises(self, grid16):
         st = _small_state(grid16, eps=0.1, seed=8)
@@ -326,6 +327,29 @@ class TestIntegrate:
         assert records == [0.0]
         assert fin is st
         assert fault is None
+
+    def test_stepped_states_keep_no_samples(self, grid16):
+        # the caller's initial state outlives the run; after its step it holds
+        # neither cached fields nor the memoized samples of a and u
+        st = _small_state(grid16, seed=4)
+        cfg = SolverConfig(dt=0.02, T=0.04)
+        integrate(st, cfg, PARAMS, observe=lambda s, e: s.rho_min)
+        assert st._cache == {}
+        assert all(f._alt is None for f in (st.a, *st.u.components))
+
+    def test_counters(self, grid16):
+        cfg = SolverConfig(dt=0.02, T=0.1, cadence="uniform:0.04")
+        counters = {}
+        integrate(_small_state(grid16, seed=4), cfg, PARAMS,
+                  observe=lambda s, e: s.rho_min, counters=counters)
+        again = {}
+        integrate(_small_state(grid16, seed=4), cfg, PARAMS,
+                  observe=lambda s, e: s.rho_min, counters=again)
+        assert counters == again
+        assert counters["steps"] == 5 and counters["snapshots"] == 4
+        # rho_min at a snapshot reuses the samples validation already formed
+        assert counters["transforms_observe"] == 0
+        assert counters["transforms_stepping"] > 0
 
     def test_deterministic_replay(self, grid16):
         cfg = SolverConfig(dt=0.02, T=0.2, cadence="uniform:0.04")

@@ -27,7 +27,7 @@ from cnslab.spectral import (
     to_physical,
     to_spectral,
 )
-from cnslab.spectral import _forward_real, _inverse_real
+from cnslab.spectral import _forward_half, _forward_real, _inverse_real, _pdata, transform_count
 
 
 class TestGrid:
@@ -125,6 +125,44 @@ class TestRealTransformPair:
         back = _inverse_real(grid, coeffs)
         assert back.shape == grid.shape and back.dtype == np.float64
         assert np.max(np.abs(back - ref_back)) <= 1e-14 * np.max(np.abs(ref_back))
+
+
+class TestRealSamples:
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_pdata_matches_complex_inverse_on_hermitian_spectra(self, n, dim):
+        grid = make_grid(n, 2 * np.pi, dim)
+        rng = np.random.default_rng(10 * n + dim)
+        coeffs = np.fft.fftn(rng.standard_normal(grid.shape)) / n**dim
+        for spec in (coeffs, np.where(grid.dealias_mask, coeffs, 0.0)):
+            ref = np.real(np.fft.ifftn(spec)) * n**dim
+            got = _pdata(Field.from_spectral(grid, spec))
+            assert got.dtype == np.float64 and got.shape == grid.shape
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_physical_samples_are_real(self, grid16):
+        samples = np.ones(grid16.shape, dtype=np.complex128)
+        with pytest.raises(ValueError, match="real"):
+            Field.from_physical(grid16, samples)
+        with pytest.raises(ValueError, match="real"):
+            Field(grid16, samples, "physical")
+        f = Field.from_physical(grid16, np.ones(grid16.shape, dtype=np.int64))
+        assert f.data.dtype == np.float64
+
+    def test_transforms_are_counted(self, grid16):
+        samples = np.random.default_rng(0).standard_normal(grid16.shape)
+        before = transform_count()
+        half = _forward_half(samples)
+        _forward_real(grid16, samples)
+        _inverse_real(grid16, half)
+        assert transform_count() - before == 3
+
+    def test_pdata_is_memoized(self, grid16):
+        f = to_spectral(random_field(grid16, seed=5))
+        before = transform_count()
+        first = _pdata(f)
+        assert _pdata(f) is first
+        assert transform_count() - before == 1
 
 
 class TestOperators:
