@@ -229,7 +229,8 @@ def low_freq_mass(state: FlowState, t: float, c_split: float = 1.0) -> float:
         mom_field = dealias(Field.from_physical(grid, rho_d * _pdata(dealias(c))))
         mom = vol * _sdata(mom_field)
         total = total + np.abs(mom[mask]) ** 2
-    return float(np.sum(total) * (2.0 * np.pi / grid.length) ** grid.dim)
+    weight = np.broadcast_to(grid.w, mask.shape)[mask]  # Hermitian weights of the half
+    return float(np.sum(weight * total) * (2.0 * np.pi / grid.length) ** grid.dim)
 
 
 def beta(p0: float) -> float:

@@ -56,14 +56,10 @@ def project(u: VectorField) -> HelmholtzSplit:
     grid = u.grid
     shat = [_sdata(c) for c in u.components]
     k = grid.k_odd
-    k2 = sum(a * a for a in k)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv_k2 = np.where(k2 > 0, 1.0 / np.where(k2 > 0, k2, 1.0), 0.0)
-        inv_kmag = np.where(k2 > 0, 1.0 / np.sqrt(np.where(k2 > 0, k2, 1.0)), 0.0)
     k_dot_u = sum(k[ax] * shat[ax] for ax in range(grid.dim))
-    q = [k[ax] * k_dot_u * inv_k2 for ax in range(grid.dim)]
+    q = [k[ax] * k_dot_u * grid.inv_k2_odd for ax in range(grid.dim)]
     p = [shat[ax] - q[ax] for ax in range(grid.dim)]
-    d_hat = 1j * k_dot_u * inv_kmag  # so that Lambda d = div u off the Nyquist planes
+    d_hat = 1j * k_dot_u * grid.inv_kmag_odd  # so that Lambda d = div u off the Nyquist planes
     return HelmholtzSplit(
         P=VectorField([Field(grid, arr, "spectral") for arr in p]),
         Q=VectorField([Field(grid, arr, "spectral") for arr in q]),

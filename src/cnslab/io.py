@@ -92,10 +92,23 @@ def write_plot_data(path, xs, ys, label: str = "", config_hash: str = "") -> Non
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _full_spectrum(grid, half: np.ndarray) -> np.ndarray:
+    """The full spectrum whose first n//2+1 modes on the last axis are `half`,
+    the rest filled in by Hermitian symmetry: full[m0, .., m] for m > n//2 is
+    conj(half[-m0, .., n - m]), indices mod n."""
+    n, h = grid.n, half.shape[-1]
+    neg = (-np.arange(n)) % n
+    rows = np.ix_(*([neg] * (grid.dim - 1) + [n - np.arange(h, n)]))
+    full = np.empty(grid.shape, dtype=np.complex128)
+    full[..., :h] = half
+    full[..., h:] = np.conj(half[rows])
+    return full
+
+
 def write_checkpoint(path, state: FlowState, config_hash: str = "") -> None:
     """Fixed header (magic, version, grid dims, box length, time, params)
-    followed by the spectral coefficients of a and the velocity components as
-    little-endian complex128 in declared index order."""
+    followed by the full spectral coefficients (all n^dim modes) of a and the
+    velocity components as little-endian complex128 in declared index order."""
     grid = state.grid
     p = state.params
     header = _HEADER.pack(
@@ -115,7 +128,7 @@ def write_checkpoint(path, state: FlowState, config_hash: str = "") -> None:
     with Path(path).open("wb") as fh:
         fh.write(header)
         for f in arrays:
-            fh.write(np.ascontiguousarray(_sdata(f), dtype="<c16").tobytes())
+            fh.write(_full_spectrum(grid, _sdata(f)).astype("<c16").tobytes())
 
 
 def read_checkpoint(path) -> tuple[FlowState, str]:
@@ -145,7 +158,7 @@ def read_checkpoint(path) -> tuple[FlowState, str]:
     off = _HEADER.size
     for _ in range(1 + dim):
         arr = np.frombuffer(raw, dtype="<c16", count=count, offset=off).reshape(shape)
-        fields.append(Field(grid, arr.astype(np.complex128), "spectral"))
+        fields.append(Field(grid, arr.astype(np.complex128), "spectral"))  # folds to the half
         off += count * 16
     state = FlowState(t, fields[0], VectorField(fields[1:]), params)
     return state, hash_raw.rstrip(b"\0").decode()

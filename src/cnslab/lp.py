@@ -115,7 +115,7 @@ def active_scale_range(grid: Grid) -> tuple[int, int]:
 
 def _shell_values(grid: Grid, fn, js) -> np.ndarray:
     """fn(2^-j |k|) on every shell |m|^2 = 0, 1, ..., d (n/2)^2 of the grid's
-    lattice, one row per scale j; `grid.plan.msq` gathers a row onto modes."""
+    lattice, one row per scale j; indexing a row with `grid.msq` maps it onto modes."""
     radii = grid.kmin * np.sqrt(np.arange(grid.dim * (grid.n // 2) ** 2 + 1))
     return fn(np.ldexp(radii, -np.asarray(js)[:, None]))
 
@@ -132,14 +132,14 @@ def dyadic_block(f: Field, j: int, profile: CutoffProfile | None = None) -> Fiel
         )
         return Field.zeros(f.grid)
     phi = _shell_values(f.grid, profile.phi, [j])[0]
-    return Field(f.grid, phi[f.grid.plan.msq] * _sdata(f), "spectral")
+    return Field(f.grid, phi[f.grid.msq] * _sdata(f), "spectral")
 
 
 def low_pass(f: Field, j: int, profile: CutoffProfile | None = None) -> Field:
     """Low-pass at scale 2^j: multiplier chi(2^-j |k|); keeps the mean mode."""
     profile = profile or _DEFAULT
     chi = _shell_values(f.grid, profile.chi, [j])[0]
-    return Field(f.grid, chi[f.grid.plan.msq] * _sdata(f), "spectral")
+    return Field(f.grid, chi[f.grid.msq] * _sdata(f), "spectral")
 
 
 @dataclass
@@ -228,26 +228,23 @@ def parse_norm_key(key: str) -> NormSpec:
 
 def _block_lp_norms(f, p, profile, js):
     """L^p norm of each dyadic block; vector fields through the pointwise
-    Euclidean magnitude of their blocks. For p=2 one bincount of the spectral
-    power over shells (Parseval); otherwise each block is inverted from the
-    half spectrum, one scale at a time."""
+    Euclidean magnitude of their blocks. For p=2 one bincount of the
+    Hermitian-weighted spectral power over shells (Parseval); otherwise each
+    block is inverted from the half spectrum, one scale at a time."""
     grid = f.grid
     comps = f.components if isinstance(f, VectorField) else (f,)
     phi = _shell_values(grid, profile.phi, js)
-    msq = grid.plan.msq
     if p == 2:
-        power = sum(np.abs(_sdata(c)) ** 2 for c in comps)
-        shells = np.bincount(msq.ravel(), weights=power.ravel(), minlength=phi.shape[1])
+        power = grid.w * sum(np.abs(_sdata(c)) ** 2 for c in comps)
+        shells = np.bincount(grid.msq.ravel(), weights=power.ravel(), minlength=phi.shape[1])
         return [float(np.sqrt(grid.volume * v)) for v in phi**2 @ shells]
-    h = grid.n // 2 + 1
-    msq_half = msq[..., :h]
-    halves = [_sdata(c)[..., :h] for c in comps]
+    halves = [_sdata(c) for c in comps]
     out = []
     for row in phi:
         if not row.any():
             out.append(0.0)
             continue
-        mult = row[msq_half]
+        mult = row[grid.msq]
         mag2 = np.zeros(grid.shape)  # squared pointwise magnitude of the block
         for half in halves:
             b = _inverse_real(grid, mult * half)
@@ -271,7 +268,7 @@ def _demean(f, warn=True):
     m = mean_value(f)
     if isinstance(m, complex) or abs(m) > 1e-13:
         s = _sdata(f).copy()
-        scale = np.sqrt(np.sum(np.abs(s) ** 2))
+        scale = np.sqrt(np.sum(f.grid.w * np.abs(s) ** 2))
         # complain only when the mean is a real feature, not round-off drift
         if warn and abs(m) > 1e-4 * max(scale, 1e-300):
             warnings.warn(
@@ -438,7 +435,7 @@ def partition_of_unity_error(grid: Grid, profile: CutoffProfile | None = None) -
     profile = profile or _DEFAULT
     jmin, jmax = active_scale_range(grid)
     total = np.sum(_shell_values(grid, profile.phi, range(jmin, jmax + 1)), axis=0)
-    occupied = np.bincount(grid.plan.msq.ravel(), minlength=len(total)) > 0
+    occupied = np.bincount(grid.msq.ravel(), minlength=len(total)) > 0
     occupied[0] = False
     return float(np.max(np.abs(total[occupied] - 1.0)))
 

@@ -19,7 +19,6 @@ from .spectral import (
     VectorField,
     PositivityFault,
     _forward_half,
-    _full_from_half,
     _inverse_real,
     _pdata,
     _sdata,
@@ -170,7 +169,7 @@ class FlowState:
                     time=self.t,
                 )
             self._cache["frak_a"] = dealias(
-                Field.from_physical(self.grid, rho**self.params.gamma - 1.0)
+                Field.from_physical(self.grid, _pressure_excess(_pdata(self.a), self.params.gamma))
             )
         return self._cache["frak_a"]
 
@@ -216,27 +215,30 @@ class FlowState:
         return math.sqrt(g) * self.rho_max ** ((g - 1.0) / 2.0)
 
 
+def _pressure_excess(a: np.ndarray, gamma: float) -> np.ndarray:
+    """(1 + a)^gamma - 1 from samples of a = rho - 1, accurate to round-off
+    in a itself when |a| is tiny (the difference rho^gamma - 1 would keep
+    only the digits of a that survive the addition 1 + a)."""
+    return np.expm1(gamma * np.log1p(a))
+
+
 def rhs_full(state: FlowState, params: PhysicalParams) -> RhsResult:
     """Nonconservative-form right-hand side with dealiased products:
 
     da/dt = -div((1+a) u)
     du/dt = -(u.grad)u + (1/rho)(mu Lap u + (lambda+mu) grad div u)
             - (1/rho) grad(rho^gamma)
-
-    Every transform and product runs on the half spectrum of the grid's
-    plan; only the outputs are filled in to the full spectrum.
     """
     grid = state.grid
-    plan = grid.plan
     mu, lam, gamma = params.mu, params.lam, params.gamma
-    mask, k, ik = plan.mask, plan.k, plan.ik
-    h = mask.shape[-1]
+    mask, k, ik = grid.dealias_mask, grid.k, grid.ik
 
-    a_hat = _sdata(state.a)[..., :h] * mask
-    u_hat = [_sdata(c)[..., :h] * mask for c in state.u.components]
+    a_hat = _sdata(state.a) * mask
+    u_hat = [_sdata(c) * mask for c in state.u.components]
 
     u_p = [_inverse_real(grid, uh) for uh in u_hat]
-    rho_p = 1.0 + _inverse_real(grid, a_hat)
+    a_p = _inverse_real(grid, a_hat)
+    rho_p = 1.0 + a_p
     if np.min(rho_p) <= 0.0:
         raise PositivityFault(
             f"density lost positivity at t={state.t:g} (min rho = {np.min(rho_p):.6g})",
@@ -245,7 +247,7 @@ def rhs_full(state: FlowState, params: PhysicalParams) -> RhsResult:
         )
 
     # mass equation: -div((1+a) u); spectral divergence has exactly zero mean
-    da_hat = np.zeros(mask.shape, dtype=np.complex128)
+    da_hat = np.zeros(grid.spectral_shape, dtype=np.complex128)
     for ax in range(grid.dim):
         da_hat -= ik[ax] * _forward_half(rho_p * u_p[ax])
     da_hat *= mask
@@ -258,16 +260,16 @@ def rhs_full(state: FlowState, params: PhysicalParams) -> RhsResult:
 
     # viscous + pressure force, then the 1/rho weight
     k_dot_u = sum(k[ax] * u_hat[ax] for ax in range(grid.dim))
-    frak_hat = _forward_half(rho_p**gamma - 1.0) * mask
+    frak_hat = _forward_half(_pressure_excess(a_p, gamma)) * mask
     inv_rho = 1.0 / rho_p
     du = []
     for i in range(grid.dim):
-        force_hat = -mu * plan.k2 * u_hat[i] - (lam + mu) * k[i] * k_dot_u - ik[i] * frak_hat
+        force_hat = -mu * grid.k2 * u_hat[i] - (lam + mu) * k[i] * k_dot_u - ik[i] * frak_hat
         acc_hat = _forward_half(inv_rho * _inverse_real(grid, force_hat)) * mask
-        du.append(Field(grid, _full_from_half(grid, acc_hat - conv_hat[i]), "spectral"))
-    conv = [Field(grid, _full_from_half(grid, c), "spectral") for c in conv_hat]
-    da = Field(grid, _full_from_half(grid, da_hat), "spectral")
-    return RhsResult(da=da, du=VectorField(du), conv=VectorField(conv))
+        du.append(Field(grid, acc_hat - conv_hat[i], "spectral"))
+    conv = [Field(grid, c, "spectral") for c in conv_hat]
+    return RhsResult(da=Field(grid, da_hat, "spectral"), du=VectorField(du),
+                     conv=VectorField(conv))
 
 
 def rhs(state: FlowState, params: PhysicalParams):
@@ -285,26 +287,16 @@ def admissible_ut(a0: Field, u0: VectorField, params: PhysicalParams) -> VectorF
 # ---------------------------------------------------------------------------
 # IMEX stepping
 
-_expfac_cache: dict = {}
-
-
 def _viscous_exponential(grid, params: PhysicalParams, dt: float):
-    key = (grid, params.mu, params.lam, dt)
-    got = _expfac_cache.get(key)
-    if got is None:
-        dec_p = np.exp(-params.mu * grid.k2 * dt)
-        dec_q = np.exp(-(params.lam + 2.0 * params.mu) * grid.k2 * dt)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            inv_k2 = np.where(grid.k2 > 0, 1.0 / np.where(grid.k2 > 0, grid.k2, 1.0), 0.0)
-        got = (dec_p, (dec_q - dec_p) * inv_k2)
-        _expfac_cache[key] = got
-        if len(_expfac_cache) > 64:
-            _expfac_cache.pop(next(iter(_expfac_cache)))
-    return got
+    """(dec_p, dq): the decay exp(-mu |k|^2 dt) of the divergence-free part,
+    and the difference of the gradient part's decay from it over |k|^2."""
+    dec_p = np.exp(-params.mu * grid.k2 * dt)
+    dec_q = np.exp(-(params.lam + 2.0 * params.mu) * grid.k2 * dt)
+    return dec_p, (dec_q - dec_p) * grid.inv_k2
 
 
-def _apply_viscous_exponential(grid, params, dt, u_hats):
-    dec_p, dq = _viscous_exponential(grid, params, dt)
+def _apply_viscous_exponential(grid, factors, u_hats):
+    dec_p, dq = factors
     k = grid.k_odd
     k_dot_u = sum(k[ax] * u_hats[ax] for ax in range(grid.dim))
     return [dec_p * u_hats[ax] + dq * k[ax] * k_dot_u for ax in range(grid.dim)]
@@ -326,7 +318,7 @@ def _explicit_parts(state: FlowState, params: PhysicalParams, linear_only: bool)
     modes outside it see exactly the viscous exponential."""
     grid = state.grid
     if linear_only:
-        zero = np.zeros(grid.shape, dtype=np.complex128)
+        zero = np.zeros(grid.spectral_shape, dtype=np.complex128)
         return zero, [zero.copy() for _ in range(grid.dim)]
     r = state.rhs
     mask = grid.dealias_mask
@@ -342,10 +334,12 @@ def _advance(state: FlowState, dt: float, config: SolverConfig, params: Physical
     a_hat = _sdata(state.a)
     u_hats = [_sdata(c) for c in state.u.components]
 
+    factors = _viscous_exponential(grid, params, dt)
+
     da1, nu1 = _explicit_parts(state, params, config.linear_only)
     a_star = a_hat + dt * da1
     u_star = _apply_viscous_exponential(
-        grid, params, dt, [u_hats[ax] + dt * nu1[ax] for ax in range(grid.dim)]
+        grid, factors, [u_hats[ax] + dt * nu1[ax] for ax in range(grid.dim)]
     )
     if config.scheme == "imex1":
         a_new, u_new = a_star, u_star
@@ -357,7 +351,7 @@ def _advance(state: FlowState, dt: float, config: SolverConfig, params: Physical
             params,
         )
         da2, nu2 = _explicit_parts(mid, params, config.linear_only)
-        u_n_decayed = _apply_viscous_exponential(grid, params, dt, u_hats)
+        u_n_decayed = _apply_viscous_exponential(grid, factors, u_hats)
         a_new = 0.5 * a_hat + 0.5 * (a_star + dt * da2)
         u_new = [
             0.5 * u_n_decayed[ax] + 0.5 * (u_star[ax] + dt * nu2[ax])
@@ -394,12 +388,13 @@ def step(state: FlowState, config: SolverConfig, params: PhysicalParams) -> Flow
 
 
 def dissipation_rate(state: FlowState, params: PhysicalParams) -> float:
-    """D = mu ||grad u||_L2^2 + (lambda+mu) ||div u||_L2^2, spectrally."""
+    """D = mu ||grad u||_L2^2 + (lambda+mu) ||div u||_L2^2, spectrally (half
+    spectrum, Hermitian weights)."""
     grid = state.grid
     u_hats = [_sdata(c) for c in state.u.components]
-    grad_sq = float(grid.k2.flatten() @ np.sum([np.abs(h.flatten()) ** 2 for h in u_hats], axis=0))
+    grad_sq = float(np.sum(grid.w * grid.k2 * sum(np.abs(h) ** 2 for h in u_hats)))
     k_dot_u = sum(grid.k[ax] * u_hats[ax] for ax in range(grid.dim))
-    div_sq = float(np.sum(np.abs(k_dot_u) ** 2))
+    div_sq = float(np.sum(grid.w * np.abs(k_dot_u) ** 2))
     return grid.volume * (params.mu * grad_sq + (params.lam + params.mu) * div_sq)
 
 

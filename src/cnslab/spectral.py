@@ -5,16 +5,15 @@ All spectral coefficients follow the Fourier-series convention
 f(x) = sum_k fhat(k) exp(i k.x), so the k=0 coefficient is the mean of the
 field and a unit sine carries two conjugate coefficients of magnitude 1/2.
 
-Fields hold real samples or the full spectrum of real samples (complex samples
-are refused). Every transform is one of a counted real pair
-(`transform_count`): `_forward_real` runs `rfftn` and rebuilds the other half
-of the spectrum by Hermitian symmetry, and `_inverse_real` runs `irfftn` on
-the half `coeffs[..., :n//2+1]`. Code that works on the half spectrum itself
-(the solver's right-hand side, the Littlewood-Paley blocks) takes its
-multipliers from `Grid.plan`, a `HalfPlan` built on first use and owned by the
-grid: the half-spectrum `k`, `k^2`, 2/3-rule mask, `ik` with the Nyquist rows
-zeroed, the shell index |m|^2 of every mode, and the gather index of the
-Hermitian fill.
+Fields hold real samples or the `rfftn` half of their spectrum, shape
+`Grid.spectral_shape` = (n, ..., n//2+1); complex samples are refused. A full
+Hermitian spectrum passed in is folded to its half on entry. Every transform
+is one of a counted real pair (`transform_count`): `_forward_half` runs
+`rfftn` and `_inverse_real` runs `irfftn`. The multipliers (`k`, `k^2`, the
+2/3-rule mask, `ik` with the Nyquist rows zeroed, the shell index |m|^2, the
+inverse Laplacian symbols) live on the grid, on the same half layout. A sum
+over the full spectrum is the sum over the half with the Hermitian weight
+`Grid.w`.
 """
 
 from __future__ import annotations
@@ -95,11 +94,13 @@ class PositivityFault(RuntimeError):
 
 
 class Grid:
-    """Uniform periodic box with cached wavenumber lattice.
+    """Uniform periodic box with its wavenumber multipliers.
 
-    Instances are immutable, apart from the half-spectrum plan built on
-    first use, and hashed by identity so they can key caches of derived
-    spectral multipliers.
+    The spectral arrays live on the `rfftn` half spectrum, shape
+    `spectral_shape` = (n, ..., n//2+1): the first n//2+1 entries of the
+    last axis of the full `fftfreq` lattice, so every multiplier keeps its
+    full-lattice value on each stored mode (the last-axis Nyquist index
+    carries m = -n/2). Instances are immutable and hashed by identity.
     """
 
     __slots__ = (
@@ -116,9 +117,14 @@ class Grid:
         "dealias_mask",
         "nyquist_free",
         "k_odd",
+        "ik",
+        "msq",
+        "w",
+        "inv_k2",
+        "inv_k2_odd",
+        "inv_kmag_odd",
         "kmin",
         "kmax",
-        "_plan",
     )
 
     def __init__(self, n: int, length: float, dim: int):
@@ -130,9 +136,11 @@ class Grid:
         self.volume = self.length**self.dim
 
         m = np.fft.fftfreq(self.n, d=1.0 / self.n)  # integer lattice indices
+        h = self.n // 2 + 1
+        ms = [m] * (self.dim - 1) + [m[:h]]  # the half lattice, axis by axis
         self.k1 = (2.0 * np.pi / self.length) * m
-        axes = np.meshgrid(*([self.k1] * self.dim), indexing="ij")
-        self.k = tuple(np.ascontiguousarray(a) for a in axes)
+        ks = [self.k1] * (self.dim - 1) + [self.k1[:h]]
+        self.k = tuple(np.meshgrid(*ks, indexing="ij"))
         self.k2 = sum(a * a for a in self.k)
         self.kmag = np.sqrt(self.k2)
 
@@ -140,41 +148,45 @@ class Grid:
         self.x = tuple(np.meshgrid(*([x1] * self.dim), indexing="ij"))
 
         # 2/3-rule mask on integer indices: keep |m_i| <= n//3 in every axis.
-        cut = self.n // 3
-        mgrids = np.meshgrid(*([m] * self.dim), indexing="ij")
-        mask = np.ones(self.shape, dtype=bool)
-        for mg in mgrids:
-            mask &= np.abs(mg) <= cut
-        self.dealias_mask = mask
-
+        mgrids = np.meshgrid(*ms, indexing="ij")
+        self.dealias_mask = np.logical_and.reduce([np.abs(mg) <= self.n // 3 for mg in mgrids])
         # Nyquist rows (m = -n/2) are zeroed by odd-order derivatives.
-        nyq_ok = np.ones(self.shape, dtype=bool)
-        for mg in mgrids:
-            nyq_ok &= mg != -self.n // 2
-        self.nyquist_free = nyq_ok
+        self.nyquist_free = np.logical_and.reduce([mg != -self.n // 2 for mg in mgrids])
+        # i*k_i with the Nyquist rows zeroed (odd-derivative symmetry safety)
+        self.ik = tuple(1j * np.where(self.nyquist_free, a, 0.0) for a in self.k)
         # k_i with its own Nyquist entry zeroed, one broadcast axis each: odd in
         # m, so products k_i k_j keep the Hermitian symmetry of real fields
         k1_odd = np.where(m == -self.n // 2, 0.0, self.k1)
-        self.k_odd = tuple(k1_odd.reshape([-1 if b == ax else 1 for b in range(self.dim)])
-                           for ax in range(self.dim))
+        self.k_odd = tuple(
+            (k1_odd[:h] if ax == self.dim - 1 else k1_odd).reshape(
+                [-1 if b == ax else 1 for b in range(self.dim)])
+            for ax in range(self.dim)
+        )
 
         self.kmin = 2.0 * np.pi / self.length
         self.kmax = float(np.max(self.kmag))
-        for arr in (self.k1, self.k2, self.kmag, self.dealias_mask, self.nyquist_free,
-                    *self.k_odd):
+        self.msq = np.rint(self.k2 / self.kmin**2).astype(np.intp)  # shell index |m|^2
+        # Hermitian weight of each stored mode in a sum over the full spectrum,
+        # along the last axis: its planes 0 and n/2 hold their own conjugates
+        self.w = np.full(h, 2.0)
+        self.w[[0, -1]] = 1.0
+        # inverse symbols, zero at k = 0: 1/|k|^2, and 1/|k~|^2, 1/|k~| of k_odd
+        kt2 = sum(a * a for a in self.k_odd)
+        self.inv_k2 = np.where(self.k2 > 0, 1.0 / np.where(self.k2 > 0, self.k2, 1.0), 0.0)
+        self.inv_k2_odd = np.where(kt2 > 0, 1.0 / np.where(kt2 > 0, kt2, 1.0), 0.0)
+        self.inv_kmag_odd = np.where(kt2 > 0, 1.0 / np.sqrt(np.where(kt2 > 0, kt2, 1.0)), 0.0)
+        for arr in (self.k1, *self.k, self.k2, self.kmag, self.dealias_mask, self.nyquist_free,
+                    *self.ik, *self.k_odd, self.msq, self.w, self.inv_k2, self.inv_k2_odd,
+                    self.inv_kmag_odd):
             arr.setflags(write=False)
-        self._plan = None
 
     @property
     def shape(self):
         return (self.n,) * self.dim
 
     @property
-    def plan(self) -> "HalfPlan":
-        """Half-spectrum multipliers of this grid, built on first use."""
-        if self._plan is None:
-            self._plan = HalfPlan(self)
-        return self._plan
+    def spectral_shape(self):
+        return (self.n,) * (self.dim - 1) + (self.n // 2 + 1,)
 
     def __repr__(self):
         return f"Grid(n={self.n}, length={self.length:g}, dim={self.dim})"
@@ -197,46 +209,23 @@ def make_grid(n_per_dim: int, box_length: float, dim: int = 3) -> Grid:
     return Grid(n_per_dim, box_length, dim)
 
 
-class HalfPlan:
-    """Multipliers of one grid on the half spectrum of `rfftn` (last axis
-    cut to its first n//2+1 modes), the gather index that rebuilds the
-    full spectrum from the half by Hermitian symmetry, and the shell index
-    `msq` = |m|^2 of every mode of the full spectrum (integer lattice
-    indices m); its view `msq[..., :n//2+1]` indexes the half spectrum."""
-
-    __slots__ = ("k", "k2", "mask", "ik", "gather", "msq")
-
-    def __init__(self, grid: Grid):
-        n, h = grid.n, grid.n // 2 + 1
-        half = (Ellipsis, slice(0, h))
-        self.msq = np.rint(grid.k2 / grid.kmin**2).astype(np.intp)  # |m|^2 = k^2 / kmin^2
-        self.k = tuple(np.ascontiguousarray(a[half]) for a in grid.k)
-        self.k2 = np.ascontiguousarray(grid.k2[half])
-        self.mask = np.ascontiguousarray(grid.dealias_mask[half])
-        nyq_ok = grid.nyquist_free[half]
-        self.ik = tuple(1j * np.where(nyq_ok, a, 0.0) for a in self.k)
-        # full[m0, .., m] for m >= h is conj(half[-m0, .., n - m]), indices mod n
-        neg = (-np.arange(n)) % n
-        rows = np.ix_(*([neg] * (grid.dim - 1) + [n - np.arange(h, n)]))
-        self.gather = np.ravel_multi_index(rows, self.k2.shape)
-        for arr in (*self.k, self.k2, self.mask, *self.ik, self.gather, self.msq):
-            arr.setflags(write=False)
-
-
 class Field:
-    """Real scalar field on a Grid, stored either as spectral coefficients or
-    real physical samples. Data arrays are frozen; every operation returns a
-    new Field, so values can be shared freely between workers. The transform
-    to the other representation is memoized (it is a pure function of the
-    data)."""
+    """Real scalar field on a Grid, stored either as the half spectrum of its
+    coefficients or as real physical samples. Data arrays are frozen; every
+    operation returns a new Field, so values can be shared freely between
+    workers. The transform to the other representation is memoized (it is a
+    pure function of the data)."""
 
     __slots__ = ("grid", "data", "rep", "_alt")
 
     def __init__(self, grid: Grid, data: np.ndarray, rep: str):
         if rep not in (SPECTRAL, PHYSICAL):
             raise ValueError(f"unknown representation {rep!r}")
-        if data.shape != grid.shape:
-            raise ValueError(f"data shape {data.shape} does not match grid {grid.shape}")
+        expected = grid.spectral_shape if rep == SPECTRAL else grid.shape
+        if rep == SPECTRAL and data.shape == grid.shape:
+            data = data[..., : grid.n // 2 + 1]  # a full Hermitian spectrum: keep its half
+        if data.shape != expected:
+            raise ValueError(f"{rep} data shape {data.shape} does not match grid {expected}")
         self.grid = grid
         if rep == PHYSICAL and np.iscomplexobj(data):
             raise ValueError("physical samples must be real")
@@ -256,7 +245,7 @@ class Field:
 
     @classmethod
     def zeros(cls, grid: Grid) -> "Field":
-        return cls(grid, np.zeros(grid.shape, dtype=np.complex128), SPECTRAL)
+        return cls(grid, np.zeros(grid.spectral_shape, dtype=np.complex128), SPECTRAL)
 
     def __repr__(self):
         return f"Field({self.grid!r}, rep={self.rep})"
@@ -352,26 +341,11 @@ def _forward_half(samples: np.ndarray) -> np.ndarray:
     return _fft.rfftn(samples, norm="forward")
 
 
-def _full_from_half(grid: Grid, half: np.ndarray) -> np.ndarray:
-    """Full spectrum whose first n//2+1 modes on the last axis are `half`,
-    the rest filled in by Hermitian symmetry."""
-    h = half.shape[-1]
-    full = np.empty(grid.shape, dtype=np.complex128)
-    full[..., :h] = half
-    np.conjugate(np.take(half, grid.plan.gather), out=full[..., h:])
-    return full
-
-
-def _forward_real(grid: Grid, samples: np.ndarray) -> np.ndarray:
-    """Full-spectrum coefficients of real samples."""
-    return _full_from_half(grid, _forward_half(samples))
-
-
 def _inverse_real(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
-    """Real samples of Hermitian coefficients, given in full or half layout."""
+    """Real samples of half-spectrum coefficients."""
     global _transform_calls
     _transform_calls += 1
-    return _fft.irfftn(coeffs[..., : grid.n // 2 + 1], s=grid.shape, norm="forward")
+    return _fft.irfftn(coeffs, s=grid.shape, norm="forward")
 
 
 def _sdata(f: Field) -> np.ndarray:
@@ -379,15 +353,14 @@ def _sdata(f: Field) -> np.ndarray:
     if f.rep == SPECTRAL:
         return f.data
     if f._alt is None:
-        out = _forward_real(f.grid, f.data)
+        out = _forward_half(f.data)
         out.setflags(write=False)
         f._alt = out
     return f._alt
 
 
 def _pdata(f: Field) -> np.ndarray:
-    """Real physical samples of f (computing the transform if needed), from
-    the half spectrum, which holds all of a Hermitian spectrum."""
+    """Real physical samples of f (computing the transform if needed)."""
     if f.rep == PHYSICAL:
         return f.data
     if f._alt is None:
@@ -410,7 +383,7 @@ def to_physical(f: Field) -> Field:
 
 
 def constant_field(grid: Grid, value: float) -> Field:
-    coeffs = np.zeros(grid.shape, dtype=np.complex128)
+    coeffs = np.zeros(grid.spectral_shape, dtype=np.complex128)
     coeffs[(0,) * grid.dim] = value
     return Field(grid, coeffs, SPECTRAL)
 
@@ -436,27 +409,20 @@ def random_field(grid: Grid, seed, band=None, rng=None) -> Field:
 # ---------------------------------------------------------------------------
 # differential operators (spectral multipliers)
 
-def _deriv_multiplier(grid: Grid, axis: int) -> np.ndarray:
-    # i*k_axis with the Nyquist row zeroed (odd-derivative symmetry safety)
-    return 1j * np.where(grid.nyquist_free, grid.k[axis], 0.0)
-
-
 def partial_deriv(f: Field, axis: int) -> Field:
-    return Field(f.grid, _deriv_multiplier(f.grid, axis) * _sdata(f), SPECTRAL)
+    return Field(f.grid, f.grid.ik[axis] * _sdata(f), SPECTRAL)
 
 
 def gradient(f: Field) -> VectorField:
     s = _sdata(f)
-    return VectorField(
-        [Field(f.grid, _deriv_multiplier(f.grid, ax) * s, SPECTRAL) for ax in range(f.grid.dim)]
-    )
+    return VectorField([Field(f.grid, ik * s, SPECTRAL) for ik in f.grid.ik])
 
 
 def divergence(v: VectorField) -> Field:
     grid = v.grid
-    out = np.zeros(grid.shape, dtype=np.complex128)
-    for ax, comp in enumerate(v.components):
-        out += _deriv_multiplier(grid, ax) * _sdata(comp)
+    out = np.zeros(grid.spectral_shape, dtype=np.complex128)
+    for ik, comp in zip(grid.ik, v.components):
+        out += ik * _sdata(comp)
     return Field(grid, out, SPECTRAL)
 
 
@@ -534,14 +500,15 @@ def mean_value(f: Field) -> float:
 
 def sobolev_norm(f, s: float, homogeneous: bool = False) -> float:
     """H^s (or homogeneous Hdot^s) norm computed spectrally as
-    (V * sum (1+|k|^2)^s |fhat|^2)^(1/2), |k|^(2s) in the homogeneous case."""
+    (V * sum (1+|k|^2)^s |fhat|^2)^(1/2), |k|^(2s) in the homogeneous case;
+    the sum runs over the half spectrum with the Hermitian weight `grid.w`."""
     if isinstance(f, VectorField):
         return float(np.sqrt(sum(sobolev_norm(c, s, homogeneous) ** 2 for c in f.components)))
     grid = f.grid
     coeffs = np.abs(_sdata(f)) ** 2
     if homogeneous:
         with np.errstate(divide="ignore", invalid="ignore"):
-            w = np.where(grid.k2 > 0, grid.k2**s, 0.0)
+            mult = np.where(grid.k2 > 0, grid.k2**s, 0.0)
     else:
-        w = (1.0 + grid.k2) ** s
-    return float(np.sqrt(grid.volume * np.sum(w * coeffs)))
+        mult = (1.0 + grid.k2) ** s
+    return float(np.sqrt(grid.volume * np.sum(grid.w * mult * coeffs)))

@@ -89,17 +89,25 @@ class TestExecuteRun:
         import cnslab.spectral as spectral
 
         def containers():
-            # the viscous exponentials of solver._expfac_cache are keyed on dt
             return {
                 (mod.__name__, name): list(val.keys()) if isinstance(val, dict) else len(val)
                 for mod in (spectral, lp, solver)
                 for name, val in vars(mod).items()
                 if isinstance(val, (dict, list, set)) and not name.startswith("__")
-                and name != "_expfac_cache"
             }
 
         before = containers()
         execute_run(small_cfg)
+        # adaptive steps split past the CFL bound, each into substeps of a new dt
+        grid = spectral.make_grid(16, 2 * np.pi, 3)
+        a = 0.01 * spectral.random_field(grid, seed=0, band=(0.5, 3.0))
+        u = spectral.VectorField([0.01 * spectral.random_field(grid, seed=1 + i, band=(0.5, 3.0))
+                                  for i in range(3)])
+        state = solver.FlowState(0.0, a, u, solver.PhysicalParams())
+        bound = solver.cfl_dt_bound(state, solver.SolverConfig())
+        for i in range(20):
+            dt = (1.5 + 0.01 * i) * bound
+            state = solver.step(state, solver.SolverConfig(dt=dt, T=dt), solver.PhysicalParams())
         assert containers() == before
 
     def test_resume_matches_uninterrupted(self, tmp_path):

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import re
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,7 @@ from cnslab.io import (
     write_summary,
 )
 from cnslab.solver import FlowState, PhysicalParams
-from cnslab.spectral import GridError, VectorField, make_grid, random_field
+from cnslab.spectral import GridError, VectorField, _pdata, make_grid, random_field
 
 PARAMS = PhysicalParams(mu=1.0, lam=0.0, gamma=1.4)
 ROOT = Path(__file__).parent.parent
@@ -107,6 +108,33 @@ class TestCheckpoint:
         assert np.array_equal(back.a.data, state.a.data)
         for x, y in zip(back.u, state.u):
             assert np.array_equal(x.data, y.data)
+
+    def test_reads_a_v1_file_of_full_spectra(self, tmp_path):
+        # v1 files hold all n^dim modes of each field; the state keeps the half
+        n, dim, length = 8, 3, 2.0 * np.pi
+        rng = np.random.default_rng(11)
+        samples = 0.05 * rng.standard_normal((1 + dim,) + (n,) * dim)
+        header = struct.pack("<8sIIII5d64s", b"CNSLABCK", 1, n, dim, 0, length, 0.5,
+                             PARAMS.mu, PARAMS.lam, PARAMS.gamma, b"beef".ljust(64, b"\0"))
+        coeffs = np.fft.fftn(samples, axes=tuple(range(1, dim + 1))) / n**dim
+        path = tmp_path / "v1.ckpt"
+        path.write_bytes(header + coeffs.astype("<c16").tobytes())
+        state, chash = read_checkpoint(path)
+        assert chash == "beef" and state.t == 0.5
+        for f, ref in zip((state.a, *state.u), samples):
+            assert f.data.shape == state.grid.spectral_shape
+            assert np.max(np.abs(_pdata(f) - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_writes_the_full_spectrum(self, tmp_path):
+        state = self._state(seed=3)
+        grid = state.grid
+        path = tmp_path / "state.ckpt"
+        write_checkpoint(path, state)
+        body = np.frombuffer(path.read_bytes()[struct.calcsize("<8sIIII5d64s"):], dtype="<c16")
+        coeffs = body.reshape((1 + grid.dim,) + grid.shape)
+        for got, f in zip(coeffs, (state.a, *state.u)):
+            ref = np.fft.fftn(_pdata(f)) / grid.n**grid.dim
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
     def test_truncated_file_names_expected_bytes(self, tmp_path):
         state = self._state(seed=5)

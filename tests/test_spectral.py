@@ -27,7 +27,7 @@ from cnslab.spectral import (
     to_physical,
     to_spectral,
 )
-from cnslab.spectral import _forward_half, _forward_real, _inverse_real, _pdata, transform_count
+from cnslab.spectral import Grid, _forward_half, _inverse_real, _pdata, transform_count
 
 
 class TestGrid:
@@ -58,6 +58,27 @@ class TestGrid:
     def test_accepts_radix23_sizes(self):
         for n in (8, 12, 16, 24, 32, 48, 64):
             assert make_grid(n, 1.0, 2).n == n
+
+    def test_keeps_the_arrays_the_benchmark_tracer_reads(self):
+        # perfbench/tracing.py::_grid_bytes sums the bytes of these arrays
+        grid = make_grid(8, 1.0, 3)
+        for name in ("k1", "k", "k2", "kmag", "dealias_mask", "nyquist_free", "x"):
+            assert name in Grid.__slots__
+            value = getattr(grid, name)
+            arrays = value if isinstance(value, tuple) else (value,)
+            assert all(isinstance(a, np.ndarray) for a in arrays)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_multipliers_are_the_half_of_the_fftfreq_lattice(self, dim):
+        grid = make_grid(12, 3.0, dim)
+        h = grid.n // 2 + 1
+        assert grid.spectral_shape == grid.shape[:-1] + (h,)
+        full = np.meshgrid(*([grid.k1] * dim), indexing="ij")
+        for got, ref in zip(grid.k, full):
+            assert got.shape == grid.spectral_shape
+            assert np.array_equal(got, ref[..., :h])  # the last-axis Nyquist keeps k = -n/2
+        assert np.array_equal(grid.k2, sum(a * a for a in full)[..., :h])
+        assert list(grid.w) == [1.0] + [2.0] * (h - 2) + [1.0]
 
     def test_rejects_bad_length_and_dim(self):
         with pytest.raises(GridError):
@@ -96,10 +117,14 @@ class TestTransforms:
         assert np.max(np.abs(back.data - f.data)) <= 1e-12 * scale
 
     def test_hermitian_symmetry_from_real_samples(self, grid16):
+        # the half spectrum's planes m_last = 0 and m_last = n/2 hold their
+        # own conjugates: s[m0, m1, c] = conj(s[-m0, -m1, c])
         s = to_spectral(random_field(grid16, seed=1)).data
-        flipped = np.conj(s[tuple(np.s_[::-1] for _ in range(3))])
-        flipped = np.roll(flipped, shift=(1, 1, 1), axis=(0, 1, 2))
-        assert np.max(np.abs(s - flipped)) <= 1e-12 * np.max(np.abs(s))
+        assert s.shape == grid16.spectral_shape
+        for c in (0, grid16.n // 2):
+            plane = s[..., c]
+            flipped = np.roll(np.conj(plane[::-1, ::-1]), shift=(1, 1), axis=(0, 1))
+            assert np.max(np.abs(plane - flipped)) <= 1e-12 * np.max(np.abs(s))
 
     def test_idempotent_representation(self, grid16):
         f = random_field(grid16, seed=2)
@@ -113,18 +138,34 @@ class TestRealTransformPair:
     @pytest.mark.parametrize("n", [8, 12, 16, 24])
     def test_matches_complex_transforms(self, n, dim):
         grid = make_grid(n, 2 * np.pi, dim)
+        h = n // 2 + 1
         rng = np.random.default_rng(n + dim)
         samples = rng.standard_normal(grid.shape)
-        ref = np.fft.fftn(samples) / n**dim
-        got = _forward_real(grid, samples)
-        assert got.shape == grid.shape
+        ref = (np.fft.fftn(samples) / n**dim)[..., :h]
+        got = _forward_half(samples)
+        assert got.shape == grid.spectral_shape
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
         coeffs = np.fft.fftn(rng.standard_normal(grid.shape)) / n**dim
         ref_back = np.real(np.fft.ifftn(coeffs)) * n**dim
-        back = _inverse_real(grid, coeffs)
+        back = _inverse_real(grid, coeffs[..., :h])
         assert back.shape == grid.shape and back.dtype == np.float64
         assert np.max(np.abs(back - ref_back)) <= 1e-14 * np.max(np.abs(ref_back))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("n", [8, 12, 16])
+    def test_full_spectrum_folds_to_the_forward_half(self, n, dim):
+        grid = make_grid(n, 2 * np.pi, dim)
+        samples = np.random.default_rng(3 * n + dim).standard_normal(grid.shape)
+        half = _forward_half(samples)
+        for make in (lambda c: Field(grid, c, "spectral"), lambda c: Field.from_spectral(grid, c)):
+            got = make(np.fft.fftn(samples) / n**dim).data
+            assert got.shape == grid.spectral_shape
+            assert np.max(np.abs(got - half)) <= 1e-14 * np.max(np.abs(half))
+
+    def test_rejects_other_spectral_shapes(self, grid16):
+        with pytest.raises(ValueError, match="shape"):
+            Field(grid16, np.zeros((16, 16, 8), dtype=np.complex128), "spectral")
 
 
 class TestRealSamples:
@@ -134,7 +175,9 @@ class TestRealSamples:
         grid = make_grid(n, 2 * np.pi, dim)
         rng = np.random.default_rng(10 * n + dim)
         coeffs = np.fft.fftn(rng.standard_normal(grid.shape)) / n**dim
-        for spec in (coeffs, np.where(grid.dealias_mask, coeffs, 0.0)):
+        kept = np.abs(np.fft.fftfreq(n, d=1.0 / n)) <= n // 3  # the 2/3 rule, axis by axis
+        full_mask = np.logical_and.reduce(np.meshgrid(*([kept] * dim), indexing="ij"))
+        for spec in (coeffs, np.where(full_mask, coeffs, 0.0)):
             ref = np.real(np.fft.ifftn(spec)) * n**dim
             got = _pdata(Field.from_spectral(grid, spec))
             assert got.dtype == np.float64 and got.shape == grid.shape
@@ -153,9 +196,8 @@ class TestRealSamples:
         samples = np.random.default_rng(0).standard_normal(grid16.shape)
         before = transform_count()
         half = _forward_half(samples)
-        _forward_real(grid16, samples)
         _inverse_real(grid16, half)
-        assert transform_count() - before == 3
+        assert transform_count() - before == 2
 
     def test_pdata_is_memoized(self, grid16):
         f = to_spectral(random_field(grid16, seed=5))
@@ -297,8 +339,21 @@ class TestNorms:
         f = random_field(grid16, seed=seed)
         l2 = lebesgue_norm(f, 2)
         coeffs = to_spectral(f).data
-        spectral = np.sqrt(grid16.volume * np.sum(np.abs(coeffs) ** 2))
+        spectral = np.sqrt(grid16.volume * np.sum(grid16.w * np.abs(coeffs) ** 2))
         assert abs(l2**2 - spectral**2) <= 1e-10 * l2**2
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("n", [8, 12, 16])
+    def test_weighted_parseval_on_unfiltered_data(self, n, dim):
+        # unfiltered samples put weight on the self-conjugate planes
+        # m_last = 0 and m_last = n/2, which count once
+        grid = make_grid(n, 2 * np.pi, dim)
+        f = random_field(grid, seed=n + dim)
+        half = to_spectral(f).data
+        assert half.shape == grid.spectral_shape
+        assert np.max(np.abs(half[..., n // 2])) > 1e-3
+        l2 = lebesgue_norm(f, 2)
+        assert abs(sobolev_norm(f, 0.0) - l2) <= 1e-14 * l2
 
     def test_sobolev_h0_is_l2(self, grid16):
         f = random_field(grid16, seed=11)
