@@ -5,6 +5,7 @@ norms its experiment tracks."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field as dc_field
 
@@ -91,26 +92,34 @@ def smooth_bump(grid: Grid, center=None, radius: float | None = None) -> np.ndar
     sigma = radius / 2.0
     if center is None:
         center = (grid.length / 2.0,) * grid.dim
-    r2 = np.zeros(grid.shape)
-    for ax in range(grid.dim):
-        dxa = grid.x[ax] - center[ax]
-        dxa = (dxa + grid.length / 2.0) % grid.length - grid.length / 2.0
-        r2 += dxa**2
-    return np.exp(-r2 / (2.0 * sigma**2))
+    # separable: the product of one 1-D Gaussian per axis, on wrapped distances
+    x1 = grid.length * np.arange(grid.n) / grid.n
+    factors = []
+    for c in center:
+        dxa = (x1 - c + grid.length / 2.0) % grid.length - grid.length / 2.0
+        factors.append(np.exp(-(dxa**2) / (2.0 * sigma**2)))
+    return functools.reduce(np.multiply.outer, factors)
 
 
 def _low_mode_modulation(grid: Grid, rng, max_mode: int = 2) -> np.ndarray:
     """Real random trig polynomial from seeded low-mode phases, O(1) amplitude."""
-    out = np.zeros(grid.shape)
-    base = 2.0 * np.pi / grid.length
-    count = 0
-    for m in _mode_iter(grid.dim, max_mode):
-        amp = rng.uniform(0.5, 1.0)
-        phase = rng.uniform(0.0, 2.0 * np.pi)
-        arg = sum(base * m[ax] * grid.x[ax] for ax in range(grid.dim))
-        out += amp * np.cos(arg + phase)
-        count += 1
-    return out / math.sqrt(count)
+    terms = [
+        (m, rng.uniform(0.5, 1.0), rng.uniform(0.0, 2.0 * np.pi))
+        for m in _mode_iter(grid.dim, max_mode)
+    ]
+    return _pdata(_trig_polynomial(grid, terms)) / math.sqrt(len(terms))
+
+
+def _trig_polynomial(grid: Grid, terms) -> Field:
+    """sum amp cos(k_m . x + phase) over the (m, amp, phase) terms, one per
+    conjugate pair, synthesized from its coefficients: 0.5 amp e^(i phase)
+    at m and the conjugate at -m."""
+    coeffs = np.zeros(grid.shape, dtype=np.complex128)
+    for m, amp, phase in terms:
+        val = 0.5 * amp * np.exp(1j * phase)
+        coeffs[tuple(c % grid.n for c in m)] += val
+        coeffs[tuple((-c) % grid.n for c in m)] += np.conj(val)
+    return Field(grid, coeffs, "spectral")
 
 
 def _mode_iter(dim, max_mode):
@@ -145,25 +154,19 @@ def _spectrally_shaped_field(grid: Grid, rng, slope: float = -2.5, kcut: float |
     """Random mean-zero field with |f_hat(k)| ~ |k|^slope up to kcut
     (default 8 k_min): the torus stand-in for data with critical L^2 (but no
     better) integrability, whose mass sits at the lowest wavenumbers."""
-    coeffs = np.zeros(grid.shape, dtype=np.complex128)
     base = 2.0 * np.pi / grid.length
     if kcut is None:
         kcut = 8.0 * base
     max_mode = int(kcut / base)
+    terms = []
     for m in _mode_iter(grid.dim, max_mode):
         k = base * math.sqrt(sum(c * c for c in m))
         if k > kcut:
             rng.uniform()
             rng.uniform()
             continue
-        amp = rng.uniform(0.5, 1.0) * k**slope
-        phase = rng.uniform(0.0, 2.0 * np.pi)
-        idx = tuple(c % grid.n for c in m)
-        cidx = tuple((-c) % grid.n for c in m)
-        val = 0.5 * amp * np.exp(1j * phase)
-        coeffs[idx] += val
-        coeffs[cidx] += np.conj(val)
-    f = Field(grid, coeffs, "spectral")
+        terms.append((m, rng.uniform(0.5, 1.0) * k**slope, rng.uniform(0.0, 2.0 * np.pi)))
+    f = _trig_polynomial(grid, terms)
     peak = np.max(np.abs(_pdata(f)))
     return Field(grid, _sdata(f) / peak, "spectral")
 

@@ -113,7 +113,7 @@ class SolverConfig:
 class RhsResult:
     da: Field
     du: VectorField
-    conv: VectorField  # (u . grad) u, reused for the material derivative
+    force: list  # samples of (1/rho)(viscous + pressure force); truncated, they are u_dot
 
 
 class FlowState:
@@ -195,8 +195,10 @@ class FlowState:
     def u_dot(self) -> VectorField:
         """Material derivative u_t + (u . grad) u."""
         if "u_dot" not in self._cache:
-            r = self.rhs
-            self._cache["u_dot"] = r.du + r.conv
+            mask = self.grid.dealias_mask
+            self._cache["u_dot"] = VectorField(
+                [Field(self.grid, _forward_half(f) * mask, "spectral") for f in self.rhs.force]
+            )
         return self._cache["u_dot"]
 
     def drop_derived(self):
@@ -246,30 +248,26 @@ def rhs_full(state: FlowState, params: PhysicalParams) -> RhsResult:
             time=state.t,
         )
 
-    # mass equation: -div((1+a) u); spectral divergence has exactly zero mean
+    # mass equation: -div(u + a u). u enters spectrally, so the product keeps
+    # the digits of a tiny a riding on an O(1) u; ik is zero at k = 0, so
+    # the mean of a is conserved exactly
     da_hat = np.zeros(grid.spectral_shape, dtype=np.complex128)
     for ax in range(grid.dim):
-        da_hat -= ik[ax] * _forward_half(rho_p * u_p[ax])
+        da_hat -= ik[ax] * (u_hat[ax] + _forward_half(a_p * u_p[ax]))
     da_hat *= mask
 
-    # convective term (u.grad)u
-    conv_hat = []
-    for i in range(grid.dim):
-        acc = sum(u_p[j] * _inverse_real(grid, ik[j] * u_hat[i]) for j in range(grid.dim))
-        conv_hat.append(_forward_half(acc) * mask)
-
-    # viscous + pressure force, then the 1/rho weight
+    # (1/rho)(viscous + pressure force) less the convective term (u.grad)u,
+    # one forward transform per component
     k_dot_u = sum(k[ax] * u_hat[ax] for ax in range(grid.dim))
     frak_hat = _forward_half(_pressure_excess(a_p, gamma)) * mask
     inv_rho = 1.0 / rho_p
-    du = []
+    du, force = [], []
     for i in range(grid.dim):
         force_hat = -mu * grid.k2 * u_hat[i] - (lam + mu) * k[i] * k_dot_u - ik[i] * frak_hat
-        acc_hat = _forward_half(inv_rho * _inverse_real(grid, force_hat)) * mask
-        du.append(Field(grid, acc_hat - conv_hat[i], "spectral"))
-    conv = [Field(grid, c, "spectral") for c in conv_hat]
-    return RhsResult(da=Field(grid, da_hat, "spectral"), du=VectorField(du),
-                     conv=VectorField(conv))
+        force.append(inv_rho * _inverse_real(grid, force_hat))
+        conv = sum(u_p[j] * _inverse_real(grid, ik[j] * u_hat[i]) for j in range(grid.dim))
+        du.append(Field(grid, _forward_half(force[i] - conv) * mask, "spectral"))
+    return RhsResult(da=Field(grid, da_hat, "spectral"), du=VectorField(du), force=force)
 
 
 def rhs(state: FlowState, params: PhysicalParams):
@@ -322,7 +320,7 @@ def _explicit_parts(state: FlowState, params: PhysicalParams, linear_only: bool)
         return zero, [zero.copy() for _ in range(grid.dim)]
     r = state.rhs
     mask = grid.dealias_mask
-    u_hats = [np.where(mask, _sdata(c), 0.0) for c in state.u.components]
+    u_hats = [_sdata(c) * mask for c in state.u.components]
     lin = _linear_viscous_hat(grid, params, u_hats)
     da_hat = _sdata(r.da)
     nu = [_sdata(r.du.components[ax]) - lin[ax] for ax in range(grid.dim)]

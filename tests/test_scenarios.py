@@ -10,6 +10,8 @@ from cnslab.helmholtz import project
 from cnslab.lp import besov_norm
 from cnslab.scenarios import (
     ScenarioConfig,
+    _low_mode_modulation,
+    _mode_iter,
     build_scenario,
     equilibrium_perturbation,
     large_vertical_data,
@@ -43,6 +45,43 @@ class TestSmoothBump:
     def test_peak_normalized(self, grid32):
         b = smooth_bump(grid32)
         assert np.max(b) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("center", [None, (0.3, 5.0, 2.2)])
+    def test_equals_the_radial_gaussian(self, grid16, center):
+        grid = grid16
+        sigma = grid.length / 16.0
+        c = center if center is not None else (grid.length / 2.0,) * grid.dim
+        half = grid.length / 2.0
+        r2 = sum(((grid.x[ax] - c[ax] + half) % grid.length - half) ** 2 for ax in range(grid.dim))
+        ref = np.exp(-r2 / (2.0 * sigma**2))
+        got = smooth_bump(grid, center=center)
+        assert np.max(np.abs(got - ref) / ref) <= 1e-13
+
+
+class TestLowModeModulation:
+    @staticmethod
+    def _cosine_sum(grid, rng, max_mode=2):
+        base = 2.0 * np.pi / grid.length
+        out = np.zeros(grid.shape)
+        count = 0
+        for m in _mode_iter(grid.dim, max_mode):
+            amp = rng.uniform(0.5, 1.0)
+            phase = rng.uniform(0.0, 2.0 * np.pi)
+            arg = sum(base * m[ax] * grid.x[ax] for ax in range(grid.dim))
+            out += amp * np.cos(arg + phase)
+            count += 1
+        return out / math.sqrt(count)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("n", [8, 12, 16])
+    def test_equals_the_cosine_sum(self, n, dim):
+        grid = make_grid(n, 16.0 * np.pi, dim)
+        got_rng, ref_rng = np.random.default_rng(n + dim), np.random.default_rng(n + dim)
+        got = _low_mode_modulation(grid, got_rng)
+        ref = self._cosine_sum(grid, ref_rng)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+        # the draws are consumed exactly as by the sum
+        assert got_rng.uniform() == ref_rng.uniform()
 
 
 class TestEquilibriumPerturbation:
