@@ -11,6 +11,13 @@ import json
 import sys
 from pathlib import Path
 
+from .config import ConfigError, parse_config
+from .diagnostics import beta, fit_decay
+from .io import CheckpointError, read_series
+from .run import execute_run, resume_run
+from .scenarios import SCENARIO_KINDS
+from .verify import SUITES, run_suite
+
 __all__ = ["main"]
 
 
@@ -34,8 +41,7 @@ def _build_parser():
     p_an.add_argument("--out", help="write the fit report as JSON here")
 
     p_ver = sub.add_parser("verify", help="run the property self-check suites")
-    p_ver.add_argument("--suite", default="all",
-                       choices=["all", "lp", "helmholtz", "energy", "decay"])
+    p_ver.add_argument("--suite", default="all", choices=["all", *SUITES])
 
     p_sc = sub.add_parser("scenario", help="scenario utilities")
     p_sc.add_argument("action", choices=["list"])
@@ -73,25 +79,20 @@ def _config_errors(exc) -> int:
 
 
 def _load_config(path):
-    from .config import ConfigError, parse_config
-
-    text = Path(path).read_text()
     try:
-        return parse_config(text)
+        return parse_config(Path(path).read_text())
+    except OSError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        raise
     except ConfigError as exc:
         _config_errors(exc)
         raise
 
 
 def _cmd_run(args) -> int:
-    from .config import ConfigError
-    from .run import execute_run
-
     try:
         cfg = _load_config(args.config)
-    except (ConfigError, OSError) as exc:
-        if isinstance(exc, OSError):
-            print(f"config error: {exc}", file=sys.stderr)
+    except (ConfigError, OSError):
         return 2
     outdir = args.out or cfg.out_directory
     try:
@@ -108,24 +109,13 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    from .diagnostics import beta, fit_decay
-    from .io import read_series
-
+    # an unreadable series, a p0 outside [1, 2], an unknown column or a window
+    # with too few samples is an input error
     try:
         series = read_series(args.series)
-    except (OSError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    target = None
-    if args.p0 is not None:
-        try:
-            target = beta(args.p0)
-        except ValueError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 2
-    try:
+        target = None if args.p0 is None else beta(args.p0)
         fit = fit_decay(series, args.fit, tuple(args.window), target=target)
-    except (KeyError, ValueError) as exc:
+    except (OSError, KeyError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     report = {
@@ -144,32 +134,18 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .verify import run_suite
-
     ok = run_suite(args.suite)
     print("verification " + ("passed" if ok else "FAILED"))
     return 0 if ok else 4
 
 
 def _cmd_scenario(args) -> int:
-    from .scenarios import SCENARIO_KINDS
-
-    descriptions = {
-        "equilibrium_perturbation": "localized small data around (rho, u) = (1, 0)",
-        "oscillating": "divergence-free data with a high-frequency vertical carrier",
-        "large_vertical": "O(1) vertical shear plus small compressible pieces",
-        "stability_pair": "reference run plus a norm-calibrated perturbation twin",
-    }
-    for kind in SCENARIO_KINDS:
-        print(f"{kind:26s} {descriptions[kind]}")
+    for kind, description in SCENARIO_KINDS.items():
+        print(f"{kind:26s} {description}")
     return 0
 
 
 def _cmd_resume(args) -> int:
-    from .config import ConfigError
-    from .io import CheckpointError
-    from .run import resume_run
-
     cfg_path = args.config or (Path(args.checkpoint).parent / "config.txt")
     if not Path(cfg_path).exists():
         print(f"config error: no config at {cfg_path}; pass --config", file=sys.stderr)

@@ -39,6 +39,7 @@ __all__ = [
     "pressure_cross_density",
     "basic_energy",
     "energy_balance_residual",
+    "lyapunov_nonincreasing",
     "l4_energy",
     "calibrate_lyapunov",
     "lyapunov_X",
@@ -319,17 +320,28 @@ def default_fit_window(grid) -> tuple[float, float]:
     return 5.0, min(50.0, 0.5 * (grid.length / (2.0 * np.pi)) ** 2)
 
 
-def lipschitz_budget(series: "DiagnosticSeries"):
+class _LipschitzIntegral:
     """Running trapezoidal integrals of ||grad u||_Linf and its square."""
-    times = np.asarray(series.times)
-    vals = series.column("grad_u_linf")
-    if len(times) < 2:
-        zero = np.zeros_like(times)
-        return zero, zero
-    lin = np.concatenate([[0.0], np.cumsum(0.5 * np.diff(times) * (vals[1:] + vals[:-1]))])
-    sq = vals**2
-    quad = np.concatenate([[0.0], np.cumsum(0.5 * np.diff(times) * (sq[1:] + sq[:-1]))])
-    return lin, quad
+
+    def __init__(self):
+        self.lin = self.quad = 0.0
+        self._prev = None
+
+    def add(self, t: float, linf: float) -> tuple[float, float]:
+        if self._prev is not None:
+            t0, f0 = self._prev
+            self.lin += 0.5 * (t - t0) * (f0 + linf)
+            self.quad += 0.5 * (t - t0) * (f0**2 + linf**2)
+        self._prev = (t, linf)
+        return self.lin, self.quad
+
+
+def lipschitz_budget(series: "DiagnosticSeries"):
+    """Running trapezoidal integrals of ||grad u||_Linf and its square at
+    every snapshot of the series, as the observer records them."""
+    acc = _LipschitzIntegral()
+    rows = [acc.add(t, v) for t, v in zip(series.times, series.column("grad_u_linf"))]
+    return tuple(np.asarray(rows).reshape(-1, 2).T)
 
 
 def holder_norm(f: Field, alpha: float, radius: int = 4) -> float:
@@ -490,8 +502,8 @@ def make_observer(params: PhysicalParams, cfg: DiagnosticsConfig, series: Diagno
     """Build the per-snapshot observer closure. The first call calibrates the
     Lyapunov constants (when requested) and records the initial L^p0 norms
     used by the low-frequency bound."""
-    state_holder = {"constants": None, "snapshots": 0, "lip": 0.0, "lip_sq": 0.0,
-                    "prev_t": None, "prev_linf": None}
+    state_holder = {"constants": None, "snapshots": 0}
+    lipschitz = _LipschitzIntegral()
 
     def observe(state: FlowState, extras: dict) -> dict:
         if state_holder["constants"] is None:
@@ -522,11 +534,7 @@ def make_observer(params: PhysicalParams, cfg: DiagnosticsConfig, series: Diagno
                 grad_mag2 += _pdata(comp) ** 2
         linf = float(np.sqrt(np.max(grad_mag2)))
         t = state.t
-        if state_holder["prev_t"] is not None:
-            dt = t - state_holder["prev_t"]
-            state_holder["lip"] += 0.5 * dt * (state_holder["prev_linf"] + linf)
-            state_holder["lip_sq"] += 0.5 * dt * (state_holder["prev_linf"] ** 2 + linf**2)
-        state_holder["prev_t"], state_holder["prev_linf"] = t, linf
+        lip, lip_sq = lipschitz.add(t, linf)
 
         flux = effective_flux(state.u, state.frak_a, params.lam, params.mu)
         a_abs = np.abs(_pdata(state.a))
@@ -538,6 +546,7 @@ def make_observer(params: PhysicalParams, cfg: DiagnosticsConfig, series: Diagno
         else:
             afrak_lo = afrak_hi = params.gamma
 
+        l2_a, l2_u = lebesgue_norm(state.a, 2), lebesgue_norm(state.u, 2)
         record = {
             "E": e,
             "D": d,
@@ -549,16 +558,16 @@ def make_observer(params: PhysicalParams, cfg: DiagnosticsConfig, series: Diagno
             "rho_min": state.rho_min,
             "rho_max": state.rho_max,
             "mean_a": state.mean_a,
-            "l2_a": lebesgue_norm(state.a, 2),
-            "l2_u": lebesgue_norm(state.u, 2),
-            "l2_au": math.hypot(lebesgue_norm(state.a, 2), lebesgue_norm(state.u, 2)),
+            "l2_a": l2_a,
+            "l2_u": l2_u,
+            "l2_au": math.hypot(l2_a, l2_u),
             "h1_a": sobolev_norm(state.a, 1.0),
             "h2_a": sobolev_norm(state.a, 2.0),
             "h1_u": sobolev_norm(state.u, 1.0),
             "h2_u": sobolev_norm(state.u, 2.0),
             "grad_u_linf": linf,
-            "grad_u_linf_int": state_holder["lip"],
-            "grad_u_linf_sq_int": state_holder["lip_sq"],
+            "grad_u_linf_int": lip,
+            "grad_u_linf_sq_int": lip_sq,
             "eflux_l2": lebesgue_norm(flux, 2),
             "eflux_h1dot": sobolev_norm(flux, 1.0, homogeneous=True),
             "mlow": low_freq_mass(state, t, cfg.c_split),
@@ -600,3 +609,9 @@ def energy_balance_residual(series: DiagnosticSeries) -> dict:
         "max_rel": float(rel),
         "normalized": bool(e[0] > 0),
     }
+
+
+def lyapunov_nonincreasing(series: DiagnosticSeries, tol: float = 1e-6) -> bool:
+    """Whether X never grows between snapshots by more than tol * X(0)."""
+    x = series.column("X")
+    return bool(np.all(np.diff(x) <= tol * x[0]))

@@ -25,6 +25,7 @@ from .spectral import (
     _pdata,
     _sdata,
     dealias,
+    gradient,
     lebesgue_norm,
     mean_value,
 )
@@ -183,9 +184,7 @@ class NormSpec:
         if self.p < 1 or self.r < 1:
             raise ValueError("Besov indices p, r must lie in [1, inf]")
         if self.hybrid:
-            j0 = math.log2(self.R0)
-            if abs(j0 - round(j0)) > 1e-9:
-                raise ValueError(f"R0 must be a power of two, got {self.R0}")
+            _split_index(self.R0)
 
 
 def _index(x: float) -> str:
@@ -256,6 +255,18 @@ def _block_lp_norms(f, p, profile, js):
     return out
 
 
+def _split_index(R0: float) -> int:
+    """The scale j0 with 2^j0 = R0, the low/high split of the hybrid norms."""
+    j0 = int(round(math.log2(R0)))
+    if abs(math.log2(R0) - j0) > 1e-9:
+        raise ValueError(f"R0 must be a power of two, got {R0}")
+    return j0
+
+
+def _scale_weights(js, s) -> np.ndarray:
+    return np.asarray([2.0 ** (j * s) for j in js])
+
+
 def _ell_r(values: np.ndarray, r) -> float:
     if r == np.inf:
         return float(np.max(values)) if len(values) else 0.0
@@ -295,8 +306,7 @@ def besov_norm(f, spec_or_s, p=None, r=None, profile: CutoffProfile | None = Non
     jmin, jmax = active_scale_range(f.grid)
     js = list(range(jmin, jmax + 1))
     norms = np.asarray(_block_lp_norms(f, p, profile, js))
-    weights = np.asarray([2.0 ** (j * s) for j in js])
-    return _ell_r(weights * norms, r)
+    return _ell_r(_scale_weights(js, s) * norms, r)
 
 
 def truncated_besov_norm(
@@ -306,9 +316,7 @@ def truncated_besov_norm(
     """Low/high truncated semi-norm: the ell^1 block sum restricted to
     2^j <= R0 ('low') or 2^j > R0 ('high')."""
     profile = profile or _DEFAULT
-    j0 = int(round(math.log2(R0)))
-    if abs(math.log2(R0) - j0) > 1e-9:
-        raise ValueError(f"R0 must be a power of two, got {R0}")
+    j0 = _split_index(R0)
     f = _demean(f, warn=warn_mean)
     jmin, jmax = active_scale_range(f.grid)
     if part == "low":
@@ -320,17 +328,14 @@ def truncated_besov_norm(
     if not js:
         return 0.0
     norms = np.asarray(_block_lp_norms(f, p, profile, js))
-    weights = np.asarray([2.0 ** (j * s) for j in js])
-    return float(np.sum(weights * norms))
+    return float(np.sum(_scale_weights(js, s) * norms))
 
 
 def split_low_high(f: Field, R0: float, profile: CutoffProfile | None = None):
     """(f_low, f_high) with f_low the sum of blocks at 2^j <= R0; the pair
     recombines to f minus its mean."""
     profile = profile or _DEFAULT
-    j0 = int(round(math.log2(R0)))
-    if abs(math.log2(R0) - j0) > 1e-9:
-        raise ValueError(f"R0 must be a power of two, got {R0}")
+    j0 = _split_index(R0)
     jmin, jmax = active_scale_range(f.grid)
     low = Field.zeros(f.grid)
     high = Field.zeros(f.grid)
@@ -380,8 +385,7 @@ def chemin_lerner_norm(
     for n, f in enumerate(fields):
         per_block[:, n] = _block_lp_norms(_demean(f, warn=False), p, profile, js)
     vals = np.asarray([_time_lq(per_block[i], times, q) for i in range(len(js))])
-    weights = np.asarray([2.0 ** (j * s) for j in js])
-    return _ell_r(weights * vals, r)
+    return _ell_r(_scale_weights(js, s) * vals, r)
 
 
 def time_besov_norm(times, fields, q, s, p, r, profile: CutoffProfile | None = None) -> float:
@@ -443,8 +447,6 @@ def partition_of_unity_error(grid: Grid, profile: CutoffProfile | None = None) -
 def _deriv_magnitude(f: Field, order: int) -> Field:
     """|f| for order 0, gradient magnitude for order 1, |k|^order multiplier
     beyond (isotropic derivative surrogate)."""
-    from .spectral import gradient
-
     if order == 0:
         return f
     if order == 1:

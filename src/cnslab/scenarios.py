@@ -20,6 +20,7 @@ from .spectral import (
     VectorField,
     _pdata,
     _sdata,
+    dealiased_product,
     gradient,
     lebesgue_norm,
     partial_deriv,
@@ -39,12 +40,13 @@ __all__ = [
     "SCENARIO_KINDS",
 ]
 
-SCENARIO_KINDS = (
-    "equilibrium_perturbation",
-    "oscillating",
-    "large_vertical",
-    "stability_pair",
-)
+#: every scenario kind, with the line `cnslab scenario list` prints for it
+SCENARIO_KINDS = {
+    "equilibrium_perturbation": "localized small data around (rho, u) = (1, 0)",
+    "oscillating": "divergence-free data with a high-frequency vertical carrier",
+    "large_vertical": "O(1) vertical shear plus small compressible pieces",
+    "stability_pair": "reference run plus a norm-calibrated perturbation twin",
+}
 
 
 @dataclass
@@ -222,8 +224,6 @@ def equilibrium_perturbation(
     u0 = VectorField([epsilon * c for c in v])
     if epsilon >= 1.0:
         raise ValueError(f"epsilon={epsilon:g} drives the density nonpositive")
-    from .spectral import dealiased_product
-
     rho_field = Field.from_physical(grid, 1.0 + _pdata(a0))
     rho_u = VectorField([dealiased_product(rho_field, c) for c in u0.components])
     records = {

@@ -16,19 +16,10 @@ from cnslab.diagnostics import (
     conlf_rhs,
     energy_balance_residual,
     fit_decay,
+    lyapunov_nonincreasing,
     make_observer,
 )
-from cnslab.helmholtz import project
-from cnslab.lp import (
-    NormSpec,
-    active_scale_range,
-    bernstein_witness,
-    besov_norm,
-    bony_decompose,
-    dyadic_block,
-    heat_estimate_witness,
-    partition_of_unity_error,
-)
+from cnslab.lp import NormSpec, bernstein_witness, besov_norm, heat_estimate_witness
 from cnslab.scenarios import (
     equilibrium_perturbation,
     large_vertical_data,
@@ -42,17 +33,8 @@ from cnslab.solver import (
     integrate,
     step,
 )
-from cnslab.spectral import (
-    Field,
-    VectorField,
-    constant_field,
-    dealiased_product,
-    divergence,
-    lebesgue_norm,
-    make_grid,
-    mean_value,
-    random_field,
-)
+from cnslab.spectral import Field, lebesgue_norm, make_grid
+from cnslab.verify import bony_defect, helmholtz_defects, lp_defects, small_data_run
 
 PARAMS = PhysicalParams(mu=1.0, lam=0.0, gamma=1.4)
 
@@ -60,10 +42,6 @@ PARAMS = PhysicalParams(mu=1.0, lam=0.0, gamma=1.4)
 def _report(criterion: int, ok: bool, detail: str):
     print(f"[criterion {criterion:2d}] {'PASS' if ok else 'FAIL'}  {detail}")
     assert ok, f"criterion {criterion}: {detail}"
-
-
-def _demeaned(f):
-    return f - mean_value(f) * constant_field(f.grid, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -81,13 +59,8 @@ def energy_run_pair():
     out = {}
     for dt in (0.02, 0.01):
         state = equilibrium_perturbation(grid, 1e-2, 1.0, seed=7, params=PARAMS).state
-        cfg = SolverConfig(dt=dt, T=5.0, scheme="imex2", cadence="geometric",
-                           strict_mode=True)
-        series = DiagnosticSeries()
-        observe = make_observer(PARAMS, DiagnosticsConfig(p0_list=[1.0]), series)
-        _, _, fault = integrate(state, cfg, PARAMS, observe=observe)
-        assert fault is None
-        out[dt] = series
+        out[dt] = small_data_run(state, PARAMS, dt=dt, T=5.0, cadence="geometric")
+        assert out[dt].fault is None
     return out
 
 
@@ -121,56 +94,26 @@ def decay_runs():
 
 class TestCriterion01Helmholtz:
     def test_projector_exactness(self, grid64):
-        worst_div = worst_idem = worst_pyth = 0.0
-        for seed in range(20):
-            u = VectorField(
-                [random_field(grid64, seed=100 + 3 * seed + i, band=(1.0, 18.0))
-                 for i in range(3)]
-            )
-            norm_u = lebesgue_norm(u, 2)
-            spl = project(u)
-            worst_div = max(worst_div, lebesgue_norm(divergence(spl.P), 2) / norm_u)
-            again = project(spl.P)
-            idem = math.sqrt(sum(lebesgue_norm(a - b, 2) ** 2
-                                 for a, b in zip(again.P, spl.P))) / norm_u
-            worst_idem = max(worst_idem, idem)
-            pyth = abs(lebesgue_norm(spl.P, 2) ** 2 + lebesgue_norm(spl.Q, 2) ** 2
-                       - norm_u**2) / norm_u**2
-            worst_pyth = max(worst_pyth, pyth)
-        ok = worst_div <= 1e-10 and worst_idem <= 1e-10 and worst_pyth <= 1e-10
-        _report(1, ok, f"div {worst_div:.2e}, idempotency {worst_idem:.2e}, "
-                        f"pythagoras {worst_pyth:.2e} (20 fields, 64^3)")
+        seeds = [(100 + 3 * s, 101 + 3 * s, 102 + 3 * s) for s in range(20)]
+        d = helmholtz_defects(grid64, seeds, band=(1.0, 18.0))
+        ok = d["div"] <= 1e-10 and d["idempotency"] <= 1e-10 and d["pythagoras"] <= 1e-10
+        _report(1, ok, f"div {d['div']:.2e}, idempotency {d['idempotency']:.2e}, "
+                        f"pythagoras {d['pythagoras']:.2e} (20 fields, 64^3)")
 
 
 class TestCriterion02LittlewoodPaley:
     def test_partition_and_quasi_orthogonality(self, grid64):
-        part_err = partition_of_unity_error(grid64)
-        f = random_field(grid64, seed=200)
-        jmin, jmax = active_scale_range(grid64)
-        recon = Field.zeros(grid64)
-        for j in range(jmin, jmax + 1):
-            recon = recon + dyadic_block(f, j)
-        target = _demeaned(f)
-        rec_err = lebesgue_norm(recon - target, 2) / lebesgue_norm(target, 2)
-        cross = 0.0
-        for j, k in ((0, 2), (1, 3), (-1, 2), (2, 4)):
-            cross = max(cross, lebesgue_norm(dyadic_block(dyadic_block(f, j), k), 2)
-                        / lebesgue_norm(f, 2))
-        ok = part_err <= 1e-12 and rec_err <= 1e-10 and cross <= 1e-10
-        _report(2, ok, f"partition {part_err:.2e}, reconstruction {rec_err:.2e}, "
-                        f"cross-block {cross:.2e} (64^3)")
+        d = lp_defects(grid64, seed=200, pairs=((0, 2), (1, 3), (-1, 2), (2, 4)))
+        ok = (d["partition"] <= 1e-12 and d["reconstruction"] <= 1e-10
+              and d["cross_block"] <= 1e-10)
+        _report(2, ok, f"partition {d['partition']:.2e}, reconstruction "
+                        f"{d['reconstruction']:.2e}, cross-block {d['cross_block']:.2e} (64^3)")
 
 
 class TestCriterion03Bony:
     def test_paraproduct_reconstruction(self, grid64):
-        worst = 0.0
-        for seed in (0, 1, 2):
-            u = _demeaned(random_field(grid64, seed=300 + 2 * seed, band=(1.0, 18.0)))
-            v = _demeaned(random_field(grid64, seed=301 + 2 * seed, band=(1.0, 18.0)))
-            tuv, tvu, rem = bony_decompose(u, v)
-            direct = dealiased_product(u, v)
-            worst = max(worst, lebesgue_norm(tuv + tvu + rem - direct, 2)
-                        / lebesgue_norm(direct, 2))
+        pairs = [(300 + 2 * s, 301 + 2 * s) for s in (0, 1, 2)]
+        worst = bony_defect(grid64, pairs, band=(1.0, 18.0))
         _report(3, worst <= 1e-9, f"reconstruction {worst:.2e} on 3 mean-zero "
                                    "pairs (64^3)")
 
@@ -234,8 +177,7 @@ class TestCriterion06EnergyIdentity:
 class TestCriterion07Lyapunov:
     def test_monotone_and_equivalent(self, energy_run_pair):
         series = energy_run_pair[0.02]
-        x = series.column("X")
-        monotone = bool(np.all(np.diff(x) <= 1e-6 * x[0]))
+        monotone = lyapunov_nonincreasing(series, tol=1e-6)
         ratio = series.column("X") / series.column("X_comparator")
         band = float(np.max(ratio) / np.min(ratio))
         ok = monotone and band <= 10.0

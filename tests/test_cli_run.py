@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cnslab import verify
 from cnslab.cli import main
 from cnslab.config import parse_config
 from cnslab.io import read_checkpoint, read_series
@@ -192,6 +193,9 @@ class TestCli:
         code = main(["analyze", str(out / "series.csv"), "--fit", "nope",
                      "--window", "0.0", "1.0"])
         assert code == 2
+        assert main(["analyze", str(out / "series.csv"), "--fit", "l2_au", "--p0", "3"]) == 2
+        assert main(["analyze", str(tmp_path / "missing.csv"), "--fit", "l2_au"]) == 2
+        assert capsys.readouterr().err.count("config error") == 4
 
     def test_analyze_power_law_fixture(self, tmp_path, capsys):
         from cnslab.diagnostics import DiagnosticSeries
@@ -259,6 +263,21 @@ class TestCli:
         out = capsys.readouterr().out
         assert "verification passed" in out
 
+    def test_verify_failing_check_exits_4(self, capsys, monkeypatch):
+        defects = {"div": 1.0, "idempotency": 0.0, "pythagoras": 0.0, "qu_d": 0.0}
+        monkeypatch.setattr(verify, "helmholtz_defects", lambda *args, **kw: defects)
+        assert main(["verify", "--suite", "helmholtz"]) == 4
+        out = capsys.readouterr().out
+        assert "[FAIL] div(Pu) = 0" in out
+        assert "[ok] P idempotent" in out
+        assert "verification FAILED" in out
+
+    def test_verify_unknown_suite_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--suite", "nope"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
     def test_scenario_list(self, capsys):
         assert main(["scenario", "list"]) == 0
         out = capsys.readouterr().out
@@ -290,3 +309,11 @@ class TestCli:
         ck = tmp_path / "orphan.ckpt"
         ck.write_bytes(b"junk")
         assert main(["resume", str(ck)]) == 2
+
+    def test_unreadable_config_is_reported(self, tmp_path, capsys):
+        ck = tmp_path / "orphan.ckpt"
+        ck.write_bytes(b"junk")
+        assert main(["run", str(tmp_path)]) == 2
+        assert main(["resume", str(ck), "--config", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("config error") == 2
