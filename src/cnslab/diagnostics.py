@@ -21,8 +21,6 @@ from .spectral import (
     _cell,
     _pdata,
     _sdata,
-    dealias,
-    dealiased_product,
     divergence,
     gradient,
     lebesgue_norm,
@@ -224,12 +222,8 @@ def low_freq_mass(state: FlowState, t: float, c_split: float = 1.0) -> float:
     gamma = state.params.gamma
     a_hat = vol * _sdata(state.a)
     total = gamma * np.abs(a_hat[mask]) ** 2
-    # the dealiased products rho * u_i, sharing one set of dealiased rho samples
-    rho_d = _pdata(dealias(Field.from_physical(grid, state.rho_phys)))
-    for c in state.u.components:
-        mom_field = dealias(Field.from_physical(grid, rho_d * _pdata(dealias(c))))
-        mom = vol * _sdata(mom_field)
-        total = total + np.abs(mom[mask]) ** 2
+    for c in state.momentum().components:
+        total = total + np.abs(vol * _sdata(c)[mask]) ** 2
     weight = np.broadcast_to(grid.w, mask.shape)[mask]  # Hermitian weights of the half
     return float(np.sum(weight * total) * (2.0 * np.pi / grid.length) ** grid.dim)
 
@@ -494,6 +488,10 @@ class DiagnosticsConfig:
     def __post_init__(self):
         if not all(p >= 1 for p in self.p_list):
             raise ValueError(f"p_list entries must be >= 1, got {self.p_list}")
+        if self.holder_alpha is not None and not 0.0 < self.holder_alpha < 1.0:
+            raise ValueError(f"holder_alpha must lie in (0, 1), got {self.holder_alpha:g}")
+        if self.holder_radius < 1:
+            raise ValueError(f"holder_radius must be >= 1, got {self.holder_radius}")
         if self.holder_every < 1:
             raise ValueError(f"holder_every must be >= 1, got {self.holder_every}")
 
@@ -512,10 +510,7 @@ def make_observer(params: PhysicalParams, cfg: DiagnosticsConfig, series: Diagno
             else:
                 state_holder["constants"] = cfg.lyapunov
             series.metadata["lyapunov_constants"] = state_holder["constants"].as_dict()
-            rho_field = Field.from_physical(state.grid, state.rho_phys)
-            rho_u = VectorField(
-                [dealiased_product(rho_field, c) for c in state.u.components]
-            )
+            rho_u = state.momentum()
             series.metadata["initial_lp_norms"] = {
                 _p0_key(p0): {
                     "a": lebesgue_norm(state.a, p0),

@@ -20,7 +20,7 @@ from .spectral import (
     VectorField,
     _pdata,
     _sdata,
-    dealiased_product,
+    dealias,
     gradient,
     lebesgue_norm,
     partial_deriv,
@@ -152,6 +152,13 @@ def _mean_zero_unit(grid: Grid, samples: np.ndarray) -> Field:
     return Field.from_physical(grid, samples / peak)
 
 
+def _band_profile(grid: Grid, rng) -> Field:
+    """A unit bump modulated by seeded low modes, mean-zero at unit sup norm,
+    truncated to the 2/3 ball as a state's fields are: norms taken of it
+    describe the data a run starts from."""
+    return dealias(_mean_zero_unit(grid, smooth_bump(grid) * _low_mode_modulation(grid, rng)))
+
+
 def _spectrally_shaped_field(grid: Grid, rng, slope: float = -2.5, kcut: float | None = None) -> Field:
     """Random mean-zero field with |f_hat(k)| ~ |k|^slope up to kcut
     (default 8 k_min): the torus stand-in for data with critical L^2 (but no
@@ -220,23 +227,20 @@ def equilibrium_perturbation(
             with_mean = Field.from_physical(grid, _pdata(shaped) + carrier)
             peak = np.max(np.abs(_pdata(with_mean)))
             v.append((1.0 / peak) * with_mean)
-    a0 = epsilon * g
-    u0 = VectorField([epsilon * c for c in v])
     if epsilon >= 1.0:
         raise ValueError(f"epsilon={epsilon:g} drives the density nonpositive")
-    rho_field = Field.from_physical(grid, 1.0 + _pdata(a0))
-    rho_u = VectorField([dealiased_product(rho_field, c) for c in u0.components])
+    state = FlowState(0.0, epsilon * g, VectorField([epsilon * c for c in v]), params)
     records = {
-        "a0_lp0": lebesgue_norm(a0, p0),
-        "u0_lp0": lebesgue_norm(u0, p0),
-        "rho_u0_lp0": lebesgue_norm(rho_u, p0),
-        "a0_h2": sobolev_norm(a0, 2.0),
-        "u0_h2": sobolev_norm(u0, 2.0),
+        "a0_lp0": lebesgue_norm(state.a, p0),
+        "u0_lp0": lebesgue_norm(state.u, p0),
+        "rho_u0_lp0": lebesgue_norm(state.momentum(), p0),
+        "a0_h2": sobolev_norm(state.a, 2.0),
+        "u0_h2": sobolev_norm(state.u, 2.0),
         "p0": p0,
         "epsilon": epsilon,
         "seed": seed,
     }
-    return InitialData(state=FlowState(0.0, a0, u0, params), records=records)
+    return InitialData(state=state, records=records)
 
 
 def oscillating_data(
@@ -272,15 +276,15 @@ def oscillating_data(
             Field.zeros(grid),
         ]
     )
-    a0 = Field.zeros(grid)
+    state = FlowState(0.0, Field.zeros(grid), u0, params)
     records = {
         "eps_requested": eps_osc,
         "eps_snapped": eps_snapped,
         "carrier_mode": m3,
-        "q_part_l2": lebesgue_norm(project(u0).Q, 2),
-        "hdot_half": sobolev_norm(u0, 0.5, homogeneous=True),
+        "q_part_l2": lebesgue_norm(project(state.u).Q, 2),
+        "hdot_half": sobolev_norm(state.u, 0.5, homogeneous=True),
     }
-    return InitialData(state=FlowState(0.0, a0, u0, params), records=records)
+    return InitialData(state=state, records=records)
 
 
 def large_vertical_data(
@@ -308,7 +312,7 @@ def large_vertical_data(
     mod = _low_mode_modulation(grid, rng)
     w_samples = smooth_bump(grid, radius=grid.length / 6.0) * mod
     w_samples = np.mean(w_samples, axis=2, keepdims=True) * np.ones(grid.shape)
-    w = vertical_amplitude * _mean_zero_unit(grid, w_samples)
+    w = vertical_amplitude * dealias(_mean_zero_unit(grid, w_samples))
 
     s_bes = 3.0 / p - 1.0
     w_norm = besov_norm(w, s_bes, p, 1)
@@ -321,10 +325,9 @@ def large_vertical_data(
         )
 
     # unit-amplitude small pieces
-    a_raw = _mean_zero_unit(grid, smooth_bump(grid) * _low_mode_modulation(grid, rng))
-    psi_q = _mean_zero_unit(grid, smooth_bump(grid) * _low_mode_modulation(grid, rng))
-    qu_raw = gradient(psi_q)  # pure gradient: Q(qu_raw) = qu_raw
-    psi_h = _mean_zero_unit(grid, smooth_bump(grid) * _low_mode_modulation(grid, rng))
+    a_raw = _band_profile(grid, rng)
+    qu_raw = gradient(_band_profile(grid, rng))  # pure gradient: Q(qu_raw) = qu_raw
+    psi_h = _band_profile(grid, rng)
     ph_raw = VectorField(
         [-1.0 * partial_deriv(psi_h, 1), partial_deriv(psi_h, 0), Field.zeros(grid)]
     )
@@ -396,13 +399,8 @@ def stability_pair(
         rec = {"eps_pert": 0.0, "rho": 0.0, "P": 0.0, "Q": 0.0, "total": 0.0}
         return base, InitialData(state=pert, records=rec), rec
     rng = np.random.default_rng(seed)
-    da = _mean_zero_unit(grid, smooth_bump(grid) * _low_mode_modulation(grid, rng))
-    du = VectorField(
-        [
-            _mean_zero_unit(grid, smooth_bump(grid) * _low_mode_modulation(grid, rng))
-            for _ in range(grid.dim)
-        ]
-    )
+    da = _band_profile(grid, rng)
+    du = VectorField([_band_profile(grid, rng) for _ in range(grid.dim)])
     unit = stability_difference_norm(da, du, p, R0)["total"]
     scale = eps_pert / unit
     a_pert = ref.a + scale * da

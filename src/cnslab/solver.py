@@ -119,20 +119,22 @@ class RhsResult:
 class FlowState:
     """(a, u) = (rho - 1, velocity) at one instant, with derived fields cached.
 
-    Construction validates density positivity; a violation raises
-    PositivityFault carrying the time and the minimum sample.
+    Every state lies in the 2/3 ball: construction zeroes each mode of a and
+    u outside `grid.dealias_mask`, so the RHS, the CFL check, positivity and
+    the observer read one set of memoized samples. Construction also checks
+    density positivity on those samples; a violation raises PositivityFault
+    carrying the time and the minimum sample.
     """
 
     __slots__ = ("t", "a", "u", "params", "_cache")
 
-    def __init__(self, t: float, a: Field, u: VectorField, params: PhysicalParams,
-                 validate: bool = True):
+    def __init__(self, t: float, a: Field, u: VectorField, params: PhysicalParams):
         self.t = float(t)
-        self.a = a
-        self.u = u
+        self.a = dealias(a)
+        self.u = VectorField([dealias(c) for c in u.components])
         self.params = params
         self._cache = {}
-        if validate and self.rho_min <= 0.0:
+        if self.rho_min <= 0.0:
             raise PositivityFault(
                 f"density lost positivity at t={self.t:g} (min rho = {self.rho_min:.6g})",
                 min_value=self.rho_min,
@@ -161,13 +163,6 @@ class FlowState:
     def frak_a(self) -> Field:
         """rho^gamma - 1, evaluated pointwise and truncated."""
         if "frak_a" not in self._cache:
-            rho = self.rho_phys
-            if np.min(rho) <= 0:
-                raise PositivityFault(
-                    "cannot evaluate rho^gamma for nonpositive density",
-                    min_value=float(np.min(rho)),
-                    time=self.t,
-                )
             self._cache["frak_a"] = dealias(
                 Field.from_physical(self.grid, _pressure_excess(_pdata(self.a), self.params.gamma))
             )
@@ -208,6 +203,13 @@ class FlowState:
         for f in (self.a, *self.u.components):
             f._alt = None
 
+    def momentum(self) -> VectorField:
+        """The dealiased momentum rho u, formed from the memoized samples."""
+        rho = self.rho_phys
+        return VectorField(
+            [dealias(Field.from_physical(self.grid, rho * _pdata(c))) for c in self.u.components]
+        )
+
     @property
     def mean_a(self) -> float:
         return float(np.real(_sdata(self.a)[(0,) * self.grid.dim]))
@@ -230,23 +232,18 @@ def rhs_full(state: FlowState, params: PhysicalParams) -> RhsResult:
     da/dt = -div((1+a) u)
     du/dt = -(u.grad)u + (1/rho)(mu Lap u + (lambda+mu) grad div u)
             - (1/rho) grad(rho^gamma)
+
+    The state's spectra lie in the 2/3 ball, so the RHS reads its memoized
+    samples (shared with the CFL check and the observer) and truncates only
+    products.
     """
     grid = state.grid
-    mu, lam, gamma = params.mu, params.lam, params.gamma
+    mu, lam = params.mu, params.lam
     mask, k, ik = grid.dealias_mask, grid.k, grid.ik
 
-    a_hat = _sdata(state.a) * mask
-    u_hat = [_sdata(c) * mask for c in state.u.components]
-
-    u_p = [_inverse_real(grid, uh) for uh in u_hat]
-    a_p = _inverse_real(grid, a_hat)
-    rho_p = 1.0 + a_p
-    if np.min(rho_p) <= 0.0:
-        raise PositivityFault(
-            f"density lost positivity at t={state.t:g} (min rho = {np.min(rho_p):.6g})",
-            min_value=float(np.min(rho_p)),
-            time=state.t,
-        )
+    u_hat = [_sdata(c) for c in state.u.components]
+    u_p = [_pdata(c) for c in state.u.components]
+    a_p = _pdata(state.a)
 
     # mass equation: -div(u + a u). u enters spectrally, so the product keeps
     # the digits of a tiny a riding on an O(1) u; ik is zero at k = 0, so
@@ -259,8 +256,8 @@ def rhs_full(state: FlowState, params: PhysicalParams) -> RhsResult:
     # (1/rho)(viscous + pressure force) less the convective term (u.grad)u,
     # one forward transform per component
     k_dot_u = sum(k[ax] * u_hat[ax] for ax in range(grid.dim))
-    frak_hat = _forward_half(_pressure_excess(a_p, gamma)) * mask
-    inv_rho = 1.0 / rho_p
+    frak_hat = _sdata(state.frak_a)
+    inv_rho = 1.0 / state.rho_phys
     du, force = [], []
     for i in range(grid.dim):
         force_hat = -mu * grid.k2 * u_hat[i] - (lam + mu) * k[i] * k_dot_u - ik[i] * frak_hat
@@ -312,19 +309,16 @@ def _linear_viscous_hat(grid, params, u_hats):
 
 def _explicit_parts(state: FlowState, params: PhysicalParams, linear_only: bool):
     """(da_hat, [Nu_hat]) where Nu = du/dt minus the constant-coefficient
-    viscous operator. Nu is supported inside the 2/3 ball (as du/dt is), so
-    modes outside it see exactly the viscous exponential."""
+    viscous operator. Both lie in the 2/3 ball, as the state does, so the
+    step keeps the state in the ball."""
     grid = state.grid
     if linear_only:
         zero = np.zeros(grid.spectral_shape, dtype=np.complex128)
         return zero, [zero.copy() for _ in range(grid.dim)]
     r = state.rhs
-    mask = grid.dealias_mask
-    u_hats = [_sdata(c) * mask for c in state.u.components]
-    lin = _linear_viscous_hat(grid, params, u_hats)
-    da_hat = _sdata(r.da)
+    lin = _linear_viscous_hat(grid, params, [_sdata(c) for c in state.u.components])
     nu = [_sdata(r.du.components[ax]) - lin[ax] for ax in range(grid.dim)]
-    return da_hat, nu
+    return _sdata(r.da), nu
 
 
 def _advance(state: FlowState, dt: float, config: SolverConfig, params: PhysicalParams):
@@ -349,6 +343,7 @@ def _advance(state: FlowState, dt: float, config: SolverConfig, params: Physical
             params,
         )
         da2, nu2 = _explicit_parts(mid, params, config.linear_only)
+        del mid  # free its samples and RHS before the new state is built: peak memory
         u_n_decayed = _apply_viscous_exponential(grid, factors, u_hats)
         a_new = 0.5 * a_hat + 0.5 * (a_star + dt * da2)
         u_new = [

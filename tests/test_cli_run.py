@@ -222,6 +222,8 @@ class TestCli:
         ("cadence = uniform:0.1", "cadence = uniform:-0.1"),
         ("p0_list = 1", "p0_list = 1\np_list = 0.5"),
         ("p0_list = 1", "p0_list = 1\nholder_every = 0"),
+        ("p0_list = 1", "p0_list = 1\nholder_alpha = 1.5"),
+        ("p0_list = 1", "p0_list = 1\nholder_alpha = 0.5\nholder_radius = 0"),
         ("formats = csv,json,checkpoint", "formats = csv,json,checkpoint\ncheckpoint_every = -2"),
     ])
     def test_invalid_value_exits_before_the_run(self, tmp_path, capsys, edit):

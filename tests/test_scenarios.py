@@ -203,6 +203,15 @@ class TestLargeVerticalData:
         again = large_vertical_data(grid32, 1e-2, 2.0, 1.0, seed=3, params=PARAMS)
         assert again.records["smalldata_lhs"] == out.records["smalldata_lhs"]
 
+    def test_record_is_the_norm_of_the_state_shear(self, grid32):
+        # w(x1, x2) is the k3 = 0 plane of u3: the compressible vertical part
+        # is a gradient d3 psi and has none
+        out = large_vertical_data(grid32, 1e-2, 2.0, 1.0, seed=3, params=PARAMS)
+        u3 = out.state.u.vertical
+        w = Field(grid32, np.where(grid32.k[2] == 0.0, u3.data, 0.0), "spectral")
+        assert out.records["pu3_besov"] == pytest.approx(besov_norm(w, 0.5, 2.0, 1),
+                                                         rel=1e-12)
+
     def test_infeasible_budget_reports(self, grid32):
         with pytest.raises(ValueError, match="budget"):
             large_vertical_data(grid32, 1e-9, 2.0, 40.0, seed=4, params=PARAMS,
@@ -220,18 +229,32 @@ class TestStabilityPair:
         base = equilibrium_perturbation(grid16, 1e-2, 1.0, seed=7, params=PARAMS)
         eps = 1e-3
         ref, pert, rec = stability_pair(base, eps, seed=8, p=2.0)
-        assert rec["total"] == pytest.approx(eps, rel=0.05)
-        # recompute each summand independently from the stored states
+        assert rec["total"] == pytest.approx(eps, rel=1e-12)
+        # recompute each summand independently from the stored states: the
+        # perturbation is drawn inside the 2/3 ball, so the twins differ by
+        # exactly the recorded parts
         parts = stability_difference_norm(
             pert.state.a - ref.state.a, pert.state.u - ref.state.u, 2.0, 1.0
         )
-        assert parts["total"] == pytest.approx(rec["total"], rel=1e-10)
+        assert parts["total"] == pytest.approx(rec["total"], rel=1e-12)
         assert parts["rho"] + parts["P"] + parts["Q"] == pytest.approx(parts["total"])
 
     def test_states_share_grid(self, grid16):
         base = equilibrium_perturbation(grid16, 1e-2, 1.0, seed=9, params=PARAMS)
         ref, pert, _ = stability_pair(base, 1e-3, seed=10)
         assert ref.state.grid is pert.state.grid
+
+
+class TestBand:
+    @pytest.mark.parametrize("kind", ["equilibrium_perturbation", "oscillating",
+                                      "large_vertical", "stability_pair"])
+    def test_every_kind_starts_in_the_band(self, grid16, kind):
+        cfg = ScenarioConfig(kind=kind, eps_osc=0.5, vertical_amplitude=0.5)
+        built = build_scenario(cfg, grid16, PARAMS)
+        states = [d.state for d in built[:2]] if kind == "stability_pair" else [built.state]
+        for st in states:
+            for f in (st.a, *st.u):
+                assert not np.any(f.data[~grid16.dealias_mask])
 
 
 class TestScenarioConfigDispatch:

@@ -12,6 +12,8 @@ from cnslab.solver import (
     FlowState,
     PhysicalParams,
     SolverConfig,
+    _apply_viscous_exponential,
+    _viscous_exponential,
     admissible_ut,
     cfl_dt_bound,
     integrate,
@@ -33,6 +35,7 @@ from cnslab.spectral import (
     make_grid,
     random_field,
     to_physical,
+    transform_count,
 )
 
 PARAMS = PhysicalParams(mu=1.0, lam=0.0, gamma=1.4)
@@ -220,6 +223,16 @@ class TestRhsFull:
         flux = VectorField([dealiased_product(a, c) for c in st.u])
         assert self._rel([rhs_full(st, PARAMS).da], [-divergence(flux)]) <= 1e-12
 
+    def test_shares_the_state_samples(self):
+        # after the CFL check has formed the samples of u and rho, the RHS adds
+        # 3 forwards for the mass flux, 1 for rho^gamma - 1, and per component
+        # 1 inverse for the force, 3 for the gradient and 1 forward
+        st = _small_state(make_grid(16, 2 * np.pi, 3), seed=5)
+        cfl_dt_bound(st, SolverConfig())
+        before = transform_count()
+        rhs_full(st, PARAMS)
+        assert transform_count() - before == 19
+
     def test_no_module_container_grows(self):
         def cache_sizes():
             return {
@@ -315,36 +328,50 @@ class TestStep:
             assert abs(st.mean_a - m0) < 1e-12
 
     def test_modes_outside_dealias_ball_decay_viscously(self, grid16):
-        # beyond the 2/3 ball there is no explicit dynamics: velocity modes
-        # see exactly the viscous exponential and density modes are frozen
+        # no state holds modes beyond the 2/3 ball; on raw spectra the
+        # viscous exponential alone damps them at the shear rate mu |k|^2
         cut = grid16.n // 3
         coeffs = np.zeros(grid16.shape, dtype=np.complex128)
         coeffs[cut + 2, 0, 0] = 0.005
         coeffs[-(cut + 2), 0, 0] = 0.005
-        high = Field(grid16, coeffs, "spectral")
+        high = Field(grid16, coeffs, "spectral").data
+        zero = np.zeros(grid16.spectral_shape, dtype=np.complex128)
         # u perpendicular to k: a pure shear (divergence-free) mode
-        st = FlowState(0.0, high, VectorField([Field.zeros(grid16), high,
-                                               Field.zeros(grid16)]), PARAMS)
-        cfg = SolverConfig(dt=0.1, T=0.1, scheme="imex2", adaptive=False)
-        nxt = step(st, cfg, PARAMS)
+        factors = _viscous_exponential(grid16, PARAMS, 0.1)
+        out = _apply_viscous_exponential(grid16, factors, [zero, high, zero])
         k2 = (cut + 2) ** 2
         exact = 0.005 * np.exp(-PARAMS.mu * k2 * 0.1)
-        assert nxt.u[1].data[cut + 2, 0, 0] == pytest.approx(exact, rel=1e-12)
-        assert nxt.a.data[cut + 2, 0, 0] == pytest.approx(0.005, rel=1e-12)
+        assert out[1][cut + 2, 0, 0] == pytest.approx(exact, rel=1e-12)
+        assert not np.any(out[0]) and not np.any(out[2])
+
+    def test_states_stay_in_the_band(self):
+        # unfiltered samples are truncated at construction, and the step keeps
+        # every coefficient outside the 2/3 ball at zero
+        grid = make_grid(16, 2 * np.pi, 3)
+        rng = np.random.default_rng(1)
+        a = Field.from_physical(grid, 0.01 * rng.standard_normal(grid.shape))
+        u = VectorField([Field.from_physical(grid, 0.01 * rng.standard_normal(grid.shape))
+                         for _ in range(3)])
+        st = FlowState(0.0, a, u, PARAMS)
+        out = ~grid.dealias_mask
+        for scheme in ("imex1", "imex2"):
+            nxt = st
+            for _ in range(3):
+                nxt = step(nxt, SolverConfig(dt=1e-3, T=1e-3, scheme=scheme), PARAMS)
+                for f in (st.a, *st.u, nxt.a, *nxt.u):
+                    assert not np.any(_sdata(f)[out])
 
     def test_unfiltered_data_stays_hermitian(self):
         # random samples carry Nyquist content; the grad-div coupling of the
         # viscous exponential must keep every velocity spectrum Hermitian: on
         # the half spectrum, the planes m_last = 0 and m_last = n/2 stay
-        # self-conjugate
+        # self-conjugate. A state holds no Nyquist content, so the exponential
+        # is applied to the raw spectra
         grid = make_grid(16, 2 * np.pi, 3)
         rng = np.random.default_rng(0)
-        a = Field.from_physical(grid, 0.01 * rng.standard_normal(grid.shape))
-        u = VectorField([Field.from_physical(grid, 0.01 * rng.standard_normal(grid.shape))
-                         for _ in range(3)])
-        nxt = step(FlowState(0.0, a, u, PARAMS), SolverConfig(dt=1e-3, T=1e-3), PARAMS)
-        for c in nxt.u.components:
-            s = _sdata(c)
+        u = [_sdata(Field.from_physical(grid, 0.01 * rng.standard_normal(grid.shape)))
+             for _ in range(3)]
+        for s in _apply_viscous_exponential(grid, _viscous_exponential(grid, PARAMS, 1e-3), u):
             for plane in (s[..., 0], s[..., grid.n // 2]):
                 flipped = np.roll(np.conj(plane[::-1, ::-1]), shift=(1, 1), axis=(0, 1))
                 assert np.max(np.abs(plane - flipped)) <= 1e-14 * np.max(np.abs(s))
