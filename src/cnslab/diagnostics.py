@@ -175,9 +175,7 @@ def lyapunov_X(
     h = entropy_density(rho, g)
     f_vals = pressure_cross_density(rho, g, lam, mu)
 
-    grad_u_sq = sobolev_norm(state.u, 1.0, homogeneous=True) ** 2
     div_u = divergence(state.u)
-    div_sq = lebesgue_norm(div_u, 2) ** 2
     frak = state.frak_a
     cross = float(np.sum(_pdata(frak) * _pdata(div_u)) * cell)
 
@@ -186,7 +184,7 @@ def lyapunov_X(
 
     x = (
         constants.A1 * float(np.sum(rho * u2 * u2) * cell)
-        + constants.A2 * (mu * grad_u_sq + (lam + mu) * div_sq - cross + float(np.sum(f_vals) * cell))
+        + constants.A2 * (dissipation_rate(state, params) - cross + float(np.sum(f_vals) * cell))
         + constants.A3 * lebesgue_norm(frak, 6) ** 2
         + constants.A4 * (float(np.sum(h) * cell) + float(np.sum(rho * u2) * cell))
         + constants.A5 * float(np.sum(rho * udot2) * cell)

@@ -21,7 +21,7 @@ from .diagnostics import (
     make_observer,
 )
 from .scenarios import build_scenario, stability_difference_norm
-from .solver import FlowState, integrate, step  # noqa: F401  (perfbench/tracing.py wraps run.step)
+from .solver import integrate, step  # noqa: F401  (perfbench/tracing.py wraps run.step)
 from .spectral import make_grid
 
 __all__ = ["execute_run", "resume_run", "run_pair"]
@@ -99,16 +99,30 @@ def execute_run(runconfig: RunConfig, outdir=None):
 def resume_run(runconfig: RunConfig, checkpoint_path, outdir=None):
     """Continue a checkpointed state to the configured horizon. The state keeps
     its absolute time, so its rows fall on the snapshot times of an
-    uninterrupted run; the outputs are those of `execute_run`."""
+    uninterrupted run; the outputs are those of `execute_run`. A checkpoint
+    whose grid or parameters differ from the config's is a ValueError."""
     state, _saved_hash = cio.read_checkpoint(checkpoint_path)
+    header = {  # key: (checkpoint, config)
+        "n": (state.grid.n, runconfig.grid_n),
+        "L": (state.grid.length, runconfig.grid_L),
+        "dim": (state.grid.dim, runconfig.grid_dim),
+        "mu": (state.params.mu, runconfig.params.mu),
+        "lambda": (state.params.lam, runconfig.params.lam),
+        "gamma": (state.params.gamma, runconfig.params.gamma),
+    }
+    mismatched = [
+        f"{key} {got} (config {want})" for key, (got, want) in header.items() if got != want
+    ]
+    if mismatched:
+        raise ValueError(f"checkpoint {checkpoint_path} is from another run: "
+                         + ", ".join(mismatched))
     t0 = state.t
     if t0 >= runconfig.solver.T:
         raise ValueError(
             f"checkpoint time {t0:g} already at or beyond horizon {runconfig.solver.T:g}"
         )
     chash = config_hash(runconfig.raw_text)
-    state0 = FlowState(t0, state.a, state.u, runconfig.params)
-    series, summary = _run_single(runconfig, state0, {}, chash, outdir)
+    series, summary = _run_single(runconfig, state, {}, chash, outdir)
     series.metadata["resumed_from"] = t0
     summary["resumed_from"] = t0
     return _finish(runconfig, series, summary, chash, outdir)

@@ -112,8 +112,8 @@ class SolverConfig:
 @dataclass
 class RhsResult:
     da: Field
-    du: VectorField
-    force: list  # samples of (1/rho)(viscous + pressure force); truncated, they are u_dot
+    n: list  # half spectra of the explicit part N_i; du_i/dt = V_i + N_i
+    g: list  # samples of (P_i - a V_i)/rho; V + F[g] truncated is u_dot
 
 
 class FlowState:
@@ -184,16 +184,14 @@ class FlowState:
 
     @property
     def u_t(self) -> VectorField:
-        return self.rhs.du
+        return _plus_viscous(self, self.params, self.rhs.n)
 
     @property
     def u_dot(self) -> VectorField:
         """Material derivative u_t + (u . grad) u."""
         if "u_dot" not in self._cache:
-            mask = self.grid.dealias_mask
-            self._cache["u_dot"] = VectorField(
-                [Field(self.grid, _forward_half(f) * mask, "spectral") for f in self.rhs.force]
-            )
+            parts = [_forward_half(g) * self.grid.dealias_mask for g in self.rhs.g]
+            self._cache["u_dot"] = _plus_viscous(self, self.params, parts)
         return self._cache["u_dot"]
 
     def drop_derived(self):
@@ -230,16 +228,18 @@ def rhs_full(state: FlowState, params: PhysicalParams) -> RhsResult:
     """Nonconservative-form right-hand side with dealiased products:
 
     da/dt = -div((1+a) u)
-    du/dt = -(u.grad)u + (1/rho)(mu Lap u + (lambda+mu) grad div u)
-            - (1/rho) grad(rho^gamma)
+    du/dt = V + N,  N = (P - a V)/rho - (u.grad)u
+
+    V = mu Lap u + (lambda+mu) grad div u is the viscous image the step
+    integrates exactly, P = -grad(rho^gamma - 1). N is returned as formed,
+    not as du/dt less an O(1) V, so a tiny N keeps its digits.
 
     The state's spectra lie in the 2/3 ball, so the RHS reads its memoized
     samples (shared with the CFL check and the observer) and truncates only
     products.
     """
     grid = state.grid
-    mu, lam = params.mu, params.lam
-    mask, k, ik = grid.dealias_mask, grid.k, grid.ik
+    mask, ik = grid.dealias_mask, grid.ik
 
     u_hat = [_sdata(c) for c in state.u.components]
     u_p = [_pdata(c) for c in state.u.components]
@@ -253,29 +253,34 @@ def rhs_full(state: FlowState, params: PhysicalParams) -> RhsResult:
         da_hat -= ik[ax] * (u_hat[ax] + _forward_half(a_p * u_p[ax]))
     da_hat *= mask
 
-    # (1/rho)(viscous + pressure force) less the convective term (u.grad)u,
-    # one forward transform per component
-    k_dot_u = sum(k[ax] * u_hat[ax] for ax in range(grid.dim))
+    # V and P each get their own inverse; one forward transform per component
+    visc_hat = _linear_viscous_hat(grid, params, u_hat)
     frak_hat = _sdata(state.frak_a)
     inv_rho = 1.0 / state.rho_phys
-    du, force = [], []
+    n, g = [], []
     for i in range(grid.dim):
-        force_hat = -mu * grid.k2 * u_hat[i] - (lam + mu) * k[i] * k_dot_u - ik[i] * frak_hat
-        force.append(inv_rho * _inverse_real(grid, force_hat))
+        pressure = _inverse_real(grid, -ik[i] * frak_hat)
+        g.append(inv_rho * (pressure - a_p * _inverse_real(grid, visc_hat[i])))
         conv = sum(u_p[j] * _inverse_real(grid, ik[j] * u_hat[i]) for j in range(grid.dim))
-        du.append(Field(grid, _forward_half(force[i] - conv) * mask, "spectral"))
-    return RhsResult(da=Field(grid, da_hat, "spectral"), du=VectorField(du), force=force)
+        n.append(_forward_half(g[i] - conv) * mask)
+    return RhsResult(da=Field(grid, da_hat, "spectral"), n=n, g=g)
+
+
+def _plus_viscous(state: FlowState, params: PhysicalParams, parts) -> VectorField:
+    """The fields V + part_i, with V the viscous image of the state's u."""
+    visc_hat = _linear_viscous_hat(state.grid, params, [_sdata(c) for c in state.u.components])
+    return VectorField([Field(state.grid, v + p, "spectral") for v, p in zip(visc_hat, parts)])
 
 
 def rhs(state: FlowState, params: PhysicalParams):
-    """(da/dt, du/dt) at the given state."""
+    """(da/dt, du/dt) at the given state; du/dt = V + N is formed here."""
     r = rhs_full(state, params)
-    return r.da, r.du
+    return r.da, _plus_viscous(state, params, r.n)
 
 
 def admissible_ut(a0: Field, u0: VectorField, params: PhysicalParams) -> VectorField:
     """Momentum right-hand side at t=0: the compatibility value of u_t for
-    smooth solutions. Identical to rhs(...).du by construction."""
+    smooth solutions. Identical to rhs(...)[1] by construction."""
     return FlowState(0.0, a0, u0, params).u_t
 
 
@@ -307,18 +312,12 @@ def _linear_viscous_hat(grid, params, u_hats):
     ]
 
 
-def _explicit_parts(state: FlowState, params: PhysicalParams, linear_only: bool):
-    """(da_hat, [Nu_hat]) where Nu = du/dt minus the constant-coefficient
-    viscous operator. Both lie in the 2/3 ball, as the state does, so the
-    step keeps the state in the ball."""
-    grid = state.grid
+def _explicit_parts(state: FlowState, linear_only: bool):
+    """(da_hat, [N_hat]) as rhs_full returns them, the rates the step takes
+    explicitly. Both lie in the 2/3 ball, so the step keeps the state there."""
     if linear_only:
-        zero = np.zeros(grid.spectral_shape, dtype=np.complex128)
-        return zero, [zero.copy() for _ in range(grid.dim)]
-    r = state.rhs
-    lin = _linear_viscous_hat(grid, params, [_sdata(c) for c in state.u.components])
-    nu = [_sdata(r.du.components[ax]) - lin[ax] for ax in range(grid.dim)]
-    return _sdata(r.da), nu
+        return 0.0, [0.0] * state.grid.dim
+    return _sdata(state.rhs.da), state.rhs.n
 
 
 def _advance(state: FlowState, dt: float, config: SolverConfig, params: PhysicalParams):
@@ -328,7 +327,7 @@ def _advance(state: FlowState, dt: float, config: SolverConfig, params: Physical
 
     factors = _viscous_exponential(grid, params, dt)
 
-    da1, nu1 = _explicit_parts(state, params, config.linear_only)
+    da1, nu1 = _explicit_parts(state, config.linear_only)
     a_star = a_hat + dt * da1
     u_star = _apply_viscous_exponential(
         grid, factors, [u_hats[ax] + dt * nu1[ax] for ax in range(grid.dim)]
@@ -342,7 +341,7 @@ def _advance(state: FlowState, dt: float, config: SolverConfig, params: Physical
             VectorField([Field(grid, uh, "spectral") for uh in u_star]),
             params,
         )
-        da2, nu2 = _explicit_parts(mid, params, config.linear_only)
+        da2, nu2 = _explicit_parts(mid, config.linear_only)
         del mid  # free its samples and RHS before the new state is built: peak memory
         u_n_decayed = _apply_viscous_exponential(grid, factors, u_hats)
         a_new = 0.5 * a_hat + 0.5 * (a_star + dt * da2)
@@ -442,7 +441,11 @@ def integrate(
 
     A `counters` dict receives the deterministic counts of the run: steps
     taken, snapshots taken, and the real transforms made while stepping and
-    while observing (`spectral.transform_count`).
+    while observing (`spectral.transform_count`). At a snapshot the first
+    member's RHS, which the observer reads through `u_dot` and the next step
+    reuses, is formed before the observer runs and counts as stepping. The
+    other members form theirs in their own step, so a pair does not hold
+    both RHSs through the first member's step.
     """
     if config.strict_mode:
         params.validate_strict()
@@ -451,6 +454,7 @@ def integrate(
     dt = config.dt
     start = int(round(states[0].t / dt))
     origin = states[0].t - start * dt
+    last = int(round(config.T / dt))
     snaps = set(snapshot_steps(config))
     records = []
     fault = None
@@ -463,6 +467,10 @@ def integrate(
         current = states if batch else states[0]
         extras = {"diss_cum": diss_cum, "step": istep, "dt": dt}
         before = transform_count()
+        if istep < last and not config.linear_only:
+            states[0].rhs  # memoized on the state for the next step
+            counters["transforms_stepping"] += transform_count() - before
+            before = transform_count()
         if observe is not None:
             records.append(observe(current, extras))
         if on_snapshot is not None:
@@ -471,7 +479,7 @@ def integrate(
         counters["transforms_observe"] += transform_count() - before
 
     take(start)
-    for istep in range(start + 1, int(round(config.T / dt)) + 1):
+    for istep in range(start + 1, last + 1):
         stepped = []
         before = transform_count()
         try:

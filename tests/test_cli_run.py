@@ -299,6 +299,27 @@ class TestCli:
                      "--out", str(out2)]) == 0
         assert (out2 / "series.csv").exists()
 
+    def test_resume_refuses_a_checkpoint_of_another_grid(self, tmp_path, capsys):
+        first = tmp_path / "first.cfg"
+        first.write_text(SMALL_CONFIG.replace("T = 0.5", "T = 0.25"))
+        assert main(["run", str(first), "--out", str(tmp_path / "leg1")]) == 0
+        other = tmp_path / "other.cfg"
+        other.write_text(SMALL_CONFIG.replace("n = 16", "n = 24"))
+        capsys.readouterr()
+        assert main(["resume", str(tmp_path / "leg1" / "final.ckpt"), "--config", str(other),
+                     "--out", str(tmp_path / "leg2")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "n 16 (config 24)" in err
+        assert not (tmp_path / "leg2").exists()
+
+    def test_resume_refuses_a_checkpoint_of_other_params(self, tmp_path):
+        execute_run(parse_config(SMALL_CONFIG.replace("T = 0.5", "T = 0.25")), outdir=tmp_path)
+        other = parse_config(SMALL_CONFIG.replace("mu = 1.0", "mu = 2.0")
+                             .replace("lambda = 0.0", "lambda = 0.5"))
+        named = r"mu 1\.0 \(config 2\.0\), lambda 0\.0 \(config 0\.5\)"
+        with pytest.raises(ValueError, match=named):
+            resume_run(other, tmp_path / "final.ckpt")
+
     def test_import_binds_the_module(self):
         import types
 

@@ -1,7 +1,9 @@
 """Right-hand side structure, the compatibility value of u_t, IMEX stepping,
 conservation and fault behavior of the integrator."""
 
+import math
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from cnslab.solver import (
     PhysicalParams,
     SolverConfig,
     _apply_viscous_exponential,
+    _explicit_parts,
     _viscous_exponential,
     admissible_ut,
     cfl_dt_bound,
@@ -28,11 +31,14 @@ from cnslab.spectral import (
     VectorField,
     _sdata,
     constant_field,
+    dealias,
     dealiased_product,
     divergence,
     field_from_function,
+    laplacian,
     lebesgue_norm,
     make_grid,
+    partial_deriv,
     random_field,
     to_physical,
     transform_count,
@@ -206,7 +212,7 @@ class TestRhsFull:
             st = _small_state(grid, eps=0.2, seed=5)
             r = rhs_full(st, PARAMS)
             # u_dot = u_t + (u.grad)u
-            assert self._rel(st.u_dot - r.du, convective_term(st.u, st.u)) <= 1e-12
+            assert self._rel(st.u_dot - st.u_t, convective_term(st.u, st.u)) <= 1e-12
             rho = constant_field(grid, 1.0) + st.a
             flux = VectorField([dealiased_product(rho, c) for c in st.u])
             assert self._rel([r.da], [-divergence(flux)]) <= 1e-12
@@ -223,15 +229,40 @@ class TestRhsFull:
         flux = VectorField([dealiased_product(a, c) for c in st.u])
         assert self._rel([rhs_full(st, PARAMS).da], [-divergence(flux)]) <= 1e-12
 
+    def test_explicit_part_keeps_the_digits_of_tiny_data(self, grid16):
+        # u = (0, 0, w(x, y)) + 1e-10 v and a = 1e-10 g: the explicit part N
+        # the step integrates is about 1e-10 next to the O(1) viscous image V
+        # of w, so N formed as du/dt less V would keep about six digits
+        grid = grid16
+        plane = _sdata(random_field(grid, seed=7, band=(0.5, 3.0)))
+        w = Field(grid, np.where(grid.k[2] == 0.0, plane, 0.0), "spectral")
+        v = [1e-10 * random_field(grid, seed=30 + i, band=(0.5, 3.0)) for i in range(3)]
+        a = 1e-10 * random_field(grid, seed=8, band=(0.5, 3.0))
+        st = FlowState(0.0, a, VectorField([v[0], v[1], w + v[2]]), PARAMS)
+        # the direct form F[(P - a V)/rho - (u.grad)u], truncated, from samples
+        a_p = to_physical(st.a).data
+        u_p = [to_physical(c).data for c in st.u]
+        div_u = divergence(st.u)
+        mu, lam = PARAMS.mu, PARAMS.lam
+        got = _explicit_parts(st, False)[1]
+        for i in range(3):
+            visc = mu * laplacian(st.u[i]) + (lam + mu) * partial_deriv(div_u, i)
+            pressure = -to_physical(partial_deriv(st.frak_a, i)).data
+            conv = sum(u_p[j] * to_physical(partial_deriv(st.u[i], j)).data for j in range(3))
+            n_p = (pressure - a_p * to_physical(visc).data) / (1.0 + a_p) - conv
+            ref = _sdata(dealias(Field.from_physical(grid, n_p)))
+            assert np.max(np.abs(got[i] - ref)) <= 1e-12 * np.max(np.abs(ref)), i
+
     def test_shares_the_state_samples(self):
         # after the CFL check has formed the samples of u and rho, the RHS adds
         # 3 forwards for the mass flux, 1 for rho^gamma - 1, and per component
-        # 1 inverse for the force, 3 for the gradient and 1 forward
+        # 1 inverse each for the pressure force and the viscous image, 3 for
+        # the gradient and 1 forward
         st = _small_state(make_grid(16, 2 * np.pi, 3), seed=5)
         cfl_dt_bound(st, SolverConfig())
         before = transform_count()
         rhs_full(st, PARAMS)
-        assert transform_count() - before == 19
+        assert transform_count() - before == 22
 
     def test_no_module_container_grows(self):
         def cache_sizes():
@@ -422,6 +453,28 @@ class TestIntegrate:
         assert counters["transforms_observe"] == 0
         assert counters["transforms_stepping"] > 0
 
+    def test_snapshot_rhs_counts_as_stepping(self, grid16):
+        # the RHS a snapshot state's observer asks for is the one the next step
+        # reuses: with a snapshot at every step, stepping still costs what one
+        # step from a fresh state costs, whether or not the observer reads u_dot,
+        # for a single state and for each member of a pair
+        fresh = _small_state(grid16, seed=4)
+        before = transform_count()
+        step(fresh, SolverConfig(dt=0.02), PARAMS)
+        per_step = transform_count() - before
+        cfg = SolverConfig(dt=0.02, T=0.1, cadence="uniform:0.02")
+        for observe in (lambda s, e: lebesgue_norm(s.u_dot, 2), lambda s, e: s.rho_min, None):
+            counters = {}
+            integrate(_small_state(grid16, seed=4), cfg, PARAMS, observe=observe,
+                      counters=counters)
+            assert counters["snapshots"] == counters["steps"] + 1 == 6
+            assert counters["transforms_stepping"] == counters["steps"] * per_step
+        pair = (_small_state(grid16, seed=4), _small_state(grid16, seed=5))
+        counters = {}
+        integrate(pair, cfg, PARAMS, observe=lambda s, e: lebesgue_norm(s[0].u_dot, 2),
+                  counters=counters)
+        assert counters["transforms_stepping"] == 2 * counters["steps"] * per_step
+
     def test_deterministic_replay(self, grid16):
         cfg = SolverConfig(dt=0.02, T=0.2, cadence="uniform:0.04")
         outs = []
@@ -543,3 +596,28 @@ class TestCheckpointContinuation:
         assert err <= 1e-12 * scale
         err_a = lebesgue_norm(fin_cont.a - fin_full.a, 2)
         assert err_a <= 1e-12 * max(lebesgue_norm(fin_full.a, 2), 1e-30)
+
+
+class TestLargeVerticalDigits:
+    def test_density_columns_keep_their_digits(self):
+        # configs/large_vertical.txt's data at 48^3 to T = 0.5, with the a norms
+        # of the benchmark: a and the compressible part of u are about 1e-10
+        # next to an O(1) w, and a one-ulp nudge of epsilon moves every column
+        # derived from a by round-off only
+        from cnslab.config import parse_config
+        from cnslab.run import execute_run
+
+        text = (Path(__file__).parents[1] / "configs" / "large_vertical.txt").read_text()
+        text = text.replace("T = 20.0", "T = 0.5").replace(
+            "norms = Pu3:besov:s=0.5,p=2,r=1",
+            "norms = a:hybrid:s=0.5,t=1.5,r=2,p=2,R0=1; a:besov:s=0.75,p=4,r=1",
+        )
+        nudged = text.replace("epsilon = 0.01", f"epsilon = {math.nextafter(0.01, 1.0)!r}")
+        assert nudged != text
+        base, _ = execute_run(parse_config(text))
+        moved, _ = execute_run(parse_config(nudged))
+        columns = ["l2_a", "lp2_a", "h1_a", "h2_a", "eflux_l2", "eflux_h1dot",
+                   "a:hybrid:s=0.5,t=1.5,r=2,p=2,R0=1", "a:besov:s=0.75,p=4,r=1"]
+        for key in columns:
+            np.testing.assert_allclose(moved.column(key), base.column(key),
+                                       rtol=1e-12, atol=0, err_msg=key)
