@@ -118,15 +118,7 @@ def _cmd_analyze(args) -> int:
     except (OSError, KeyError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    report = {
-        "norm_key": fit.norm_key,
-        "window": list(fit.window),
-        "beta_hat": fit.beta_hat,
-        "residual": fit.residual,
-        "n_samples": fit.n_samples,
-        "target": fit.target,
-        "power_law": fit.power_law,
-    }
+    report = {"norm_key": fit.norm_key, **fit.report()}
     print(json.dumps(report, sort_keys=True, indent=2))
     if args.out:
         Path(args.out).write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")

@@ -13,6 +13,7 @@ import numpy as np
 
 from .helmholtz import effective_flux
 from .lp import NormSpec, besov_norm, format_norm_key, hybrid_norm, parse_norm_key
+from .scenarios import stability_difference_norm
 from .solver import FlowState, PhysicalParams, dissipation_rate
 from .spectral import (
     Field,
@@ -43,6 +44,7 @@ __all__ = [
     "lyapunov_X",
     "low_freq_mass",
     "conlf_rhs",
+    "conlf_constant",
     "beta",
     "fit_decay",
     "lipschitz_budget",
@@ -252,6 +254,15 @@ def conlf_rhs(series: "DiagnosticSeries", t: float, p0: float, params: PhysicalP
     return float(head + tail)
 
 
+def conlf_constant(series: "DiagnosticSeries", p0: float, params: PhysicalParams) -> float:
+    """Fitted constant C_hat of the low-frequency mass bound: the largest
+    mlow(t)/conlf_rhs(t) over the snapshots where the right-hand side is
+    positive, 0 when it is positive at none."""
+    rhs = np.asarray([conlf_rhs(series, t, p0, params) for t in series.times])
+    ok = rhs > 0
+    return float(np.max(series.column("mlow")[ok] / rhs[ok], initial=0.0))
+
+
 def _p0_key(p0: float) -> str:
     return f"{float(p0):g}"
 
@@ -274,6 +285,17 @@ class DecayFit:
     @property
     def power_law(self) -> bool:
         return self.residual <= self.POWER_LAW_RESIDUAL
+
+    def report(self) -> dict:
+        """The fit as the JSON fields of a run summary and of `cnslab analyze`."""
+        return {
+            "beta_hat": self.beta_hat,
+            "residual": self.residual,
+            "window": list(self.window),
+            "n_samples": self.n_samples,
+            "target": self.target,
+            "power_law": self.power_law,
+        }
 
 
 def fit_decay(series, norm_key: str, window: tuple[float, float],
@@ -494,14 +516,20 @@ class DiagnosticsConfig:
             raise ValueError(f"holder_every must be >= 1, got {self.holder_every}")
 
 
-def make_observer(params: PhysicalParams, cfg: DiagnosticsConfig, series: DiagnosticSeries):
+def make_observer(params: PhysicalParams, cfg: DiagnosticsConfig, series: DiagnosticSeries,
+                  twin: tuple[float, float] | None = None):
     """Build the per-snapshot observer closure. The first call calibrates the
     Lyapunov constants (when requested) and records the initial L^p0 norms
-    used by the low-frequency bound."""
+    used by the low-frequency bound.
+
+    With `twin` = (p, R0) the observer receives a twin pair (reference,
+    perturbed): its row is the reference's, followed by the summands of
+    `stability_difference_norm` of their difference at p, R0 as
+    `twin_diff_rho`, `twin_diff_P`, `twin_diff_Q` and `twin_diff_total`."""
     state_holder = {"constants": None, "snapshots": 0}
     lipschitz = _LipschitzIntegral()
 
-    def observe(state: FlowState, extras: dict) -> dict:
+    def measure(state: FlowState, extras: dict) -> dict:
         if state_holder["constants"] is None:
             if cfg.lyapunov == "calibrate":
                 state_holder["constants"] = calibrate_lyapunov(state, params)
@@ -585,7 +613,16 @@ def make_observer(params: PhysicalParams, cfg: DiagnosticsConfig, series: Diagno
                 )
             record["holder_rho"] = state_holder.get("holder_last", 0.0)
         state_holder["snapshots"] += 1
-        series.append(t, record)
+        return record
+
+    def observe(observed, extras: dict) -> dict:
+        state = observed[0] if twin else observed
+        record = measure(state, extras)
+        if twin:  # after `measure` frees its arrays; formed earlier, a twin run took 1-2% longer
+            other = observed[1]
+            diff = stability_difference_norm(other.a - state.a, other.u - state.u, *twin)
+            record.update((f"twin_diff_{name}", val) for name, val in diff.items())
+        series.append(state.t, record)
         return record
 
     return observe

@@ -1,7 +1,8 @@
-"""Run orchestration: build the scenario, integrate with diagnostics at the
-snapshot cadence (the stability experiment steps a twin pair in lockstep and
-differences it), continue a checkpoint on the same path, and emit
-series/summary/checkpoint/plot outputs."""
+"""Run orchestration: build the scenario, integrate it with diagnostics at
+the snapshot cadence, continue a checkpoint, and emit series/summary/
+checkpoint/plot outputs. A single state, a continued checkpoint and a
+stability twin pair (stepped in lockstep, the norm of its difference
+recorded in each row) all take one path, `_run`."""
 
 from __future__ import annotations
 
@@ -17,10 +18,10 @@ from .diagnostics import (
     energy_balance_residual,
     fit_decay,
     beta,
-    conlf_rhs,
+    conlf_constant,
     make_observer,
 )
-from .scenarios import build_scenario, stability_difference_norm
+from .scenarios import build_scenario
 from .solver import integrate, step  # noqa: F401  (perfbench/tracing.py wraps run.step)
 from .spectral import make_grid
 
@@ -35,47 +36,26 @@ def _fit_summary(series, runconfig, grid):
         window = default_fit_window(grid)
         if window[0] >= runconfig.solver.T:
             return {}
-    fits = {}
     key = runconfig.fit_norm
     try:
         target = beta(runconfig.scenario.p0)
     except ValueError:
         target = None
     try:
-        fit = fit_decay(series, key, window, target=target)
-        fits[key] = {
-            "beta_hat": fit.beta_hat,
-            "residual": fit.residual,
-            "window": list(fit.window),
-            "n_samples": fit.n_samples,
-            "target": fit.target,
-            "power_law": fit.power_law,
-        }
+        return {key: fit_decay(series, key, window, target=target).report()}
     except ValueError as exc:
-        fits[key] = {"error": str(exc), "window": list(window)}
-    return fits
+        return {key: {"error": str(exc), "window": list(window)}}
 
 
 def _conlf_witness(series, runconfig):
-    """Fitted constants C_hat = max_t mlow(t)/rhs(t) per configured p0."""
+    """Fitted constants C_hat of the low-frequency bound per configured p0."""
     out = {}
-    times = np.asarray(series.times)
-    mlow = series.column("mlow")
     for p0 in runconfig.diagnostics.p0_list:
         try:
-            rhs_vals = np.asarray(
-                [conlf_rhs(series, t, p0, runconfig.params) for t in times]
-            )
+            c_hat = conlf_constant(series, p0, runconfig.params)
+            out[f"{p0:g}"] = {"C_hat": c_hat, "beta": beta(p0), "samples": len(series)}
         except ValueError as exc:
             out[f"{p0:g}"] = {"error": str(exc)}
-            continue
-        ok = rhs_vals > 0
-        ratio = np.where(ok, mlow / np.where(ok, rhs_vals, 1.0), 0.0)
-        out[f"{p0:g}"] = {
-            "C_hat": float(np.max(ratio)),
-            "beta": beta(p0),
-            "samples": int(len(times)),
-        }
     return out
 
 
@@ -83,24 +63,26 @@ def execute_run(runconfig: RunConfig, outdir=None):
     """Integrate the configured scenario to its horizon and return
     (DiagnosticSeries, summary dict); files are written when outdir is given.
     Initial data that the scenario refuses raise ConfigError."""
-    chash = config_hash(runconfig.raw_text)
     grid = make_grid(runconfig.grid_n, runconfig.grid_L, runconfig.grid_dim)
     try:
         built = build_scenario(runconfig.scenario, grid, runconfig.params)
     except ValueError as exc:
         raise ConfigError(f"[scenario] {exc}") from exc
     if runconfig.scenario.kind == "stability_pair":
-        series, summary = _run_stability(runconfig, built, chash)
-    else:
-        series, summary = _run_single(runconfig, built.state, built.records, chash, outdir)
-    return _finish(runconfig, series, summary, chash, outdir)
+        base, pert, pert_records = built
+        return _run(runconfig, (base.state, pert.state), {**base.records, **pert_records}, outdir)
+    return _run(runconfig, built.state, built.records, outdir)
 
 
 def resume_run(runconfig: RunConfig, checkpoint_path, outdir=None):
     """Continue a checkpointed state to the configured horizon. The state keeps
     its absolute time, so its rows fall on the snapshot times of an
-    uninterrupted run; the outputs are those of `execute_run`. A checkpoint
-    whose grid or parameters differ from the config's is a ValueError."""
+    uninterrupted run; the outputs are those of `execute_run`. A twin config
+    (a twin run writes no checkpoint) or a checkpoint whose grid or
+    parameters differ from the config's is a ValueError."""
+    if runconfig.scenario.kind == "stability_pair":
+        raise ValueError("resume continues a single state; [scenario] kind = "
+                         f"{runconfig.scenario.kind} runs a twin pair")
     state, _saved_hash = cio.read_checkpoint(checkpoint_path)
     header = {  # key: (checkpoint, config)
         "n": (state.grid.n, runconfig.grid_n),
@@ -116,24 +98,19 @@ def resume_run(runconfig: RunConfig, checkpoint_path, outdir=None):
     if mismatched:
         raise ValueError(f"checkpoint {checkpoint_path} is from another run: "
                          + ", ".join(mismatched))
-    t0 = state.t
-    if t0 >= runconfig.solver.T:
+    if state.t >= runconfig.solver.T:
         raise ValueError(
-            f"checkpoint time {t0:g} already at or beyond horizon {runconfig.solver.T:g}"
+            f"checkpoint time {state.t:g} already at or beyond horizon {runconfig.solver.T:g}"
         )
-    chash = config_hash(runconfig.raw_text)
-    series, summary = _run_single(runconfig, state, {}, chash, outdir)
-    series.metadata["resumed_from"] = t0
-    summary["resumed_from"] = t0
-    return _finish(runconfig, series, summary, chash, outdir)
+    return _run(runconfig, state, {}, outdir, resumed_from=state.t)
 
 
-def _finish(runconfig, series, summary, chash, outdir):
-    summary["config"] = runconfig.echo()
-    summary["config_hash"] = chash
-    if outdir is not None:
-        _emit(runconfig, series, summary, outdir, chash)
-    return series, summary
+def run_pair(runconfig, ref_state, pert_state):
+    """The series of a twin pair stepped in lockstep: the reference's columns
+    followed by the `twin_diff_*` columns of their difference. (perfbench's
+    tracer wraps `run.run_pair` by name.)"""
+    series, _ = _run(runconfig, (ref_state, pert_state), {})
+    return series
 
 
 def _checkpointer(runconfig, chash, outdir):
@@ -157,89 +134,60 @@ def _checkpointer(runconfig, chash, outdir):
     return on_snapshot
 
 
-def _run_single(runconfig, state0, scenario_records, chash, outdir=None):
-    series = DiagnosticSeries(metadata={"config_hash": chash, "scenario": dict(scenario_records)})
-    observe = make_observer(runconfig.params, runconfig.diagnostics, series)
+def _run(runconfig, states, records, outdir=None, resumed_from=None):
+    """The one run path: observe `states` (one state, or a twin pair
+    (reference, perturbed) stepped in lockstep) at the snapshot cadence up to
+    the horizon, summarise the series and write the outputs when `outdir` is
+    given. Returns (series, summary), the summary JSON values only.
+
+    A pair's row adds the difference norm at `[scenario] p, R0`, its summary
+    adds `eps_pert`, `twin_diff_max` and `twin_diff_final`, and it writes no
+    checkpoint; every other entry is that of the reference state."""
+    chash = config_hash(runconfig.raw_text)
+    pair = isinstance(states, tuple)
+    series = DiagnosticSeries(metadata={"config_hash": chash, "scenario": dict(records)})
+    twin = (runconfig.scenario.p, runconfig.scenario.R0) if pair else None
+    observe = make_observer(runconfig.params, runconfig.diagnostics, series, twin=twin)
     counters = {}
-    _, final_state, fault = integrate(
-        state0, runconfig.solver, runconfig.params, observe=observe,
-        on_snapshot=_checkpointer(runconfig, chash, outdir), counters=counters,
+    _, final, fault = integrate(
+        states, runconfig.solver, runconfig.params, observe=observe,
+        on_snapshot=None if pair else _checkpointer(runconfig, chash, outdir),
+        counters=counters,
     )
     series.fault = fault
+    reference = final[0] if pair else final
     summary = {
-        "scenario_records": _jsonable(scenario_records),
+        "scenario_records": records,
         "fault": fault,
-        "final_time": final_state.t,
+        "final_time": reference.t,
         "energy_balance": energy_balance_residual(series) if len(series) > 1 else None,
-        "fits": _fit_summary(series, runconfig, state0.grid),
+        "fits": _fit_summary(series, runconfig, reference.grid),
         "conlf_witness": _conlf_witness(series, runconfig),
         "lyapunov_constants": series.metadata.get("lyapunov_constants"),
         "counters": counters,
+        "config": runconfig.echo(),
+        "config_hash": chash,
     }
-    summary["_final_state"] = final_state  # stripped before JSON emission
+    if pair:
+        diffs = series.column("twin_diff_total")
+        summary.update(eps_pert=runconfig.scenario.eps_pert,
+                       twin_diff_max=diffs.max(), twin_diff_final=diffs[-1])
+    if resumed_from is not None:
+        series.metadata["resumed_from"] = summary["resumed_from"] = resumed_from
+    summary = _jsonable(summary)
+    if outdir is not None:
+        _emit(runconfig, series, summary, None if pair else final, outdir, chash)
     return series, summary
 
 
-def run_pair(runconfig, ref_state, pert_state, pair_norm_p, pair_R0, counters=None):
-    """Integrate reference and perturbed states in lockstep, recording the
-    reference diagnostics and the perturbation-size norm of their difference
-    at the snapshot cadence; `counters` as in `integrate`."""
-    series = DiagnosticSeries()
-    observe_ref = make_observer(runconfig.params, runconfig.diagnostics, series)
-    diffs = []
-
-    def observe(states, extras):
-        ref, pert = states
-        observe_ref(ref, extras)
-        parts = stability_difference_norm(
-            pert.a - ref.a, pert.u - ref.u, pair_norm_p, pair_R0
-        )
-        diffs.append((ref.t, parts))
-
-    _, _, fault = integrate(
-        (ref_state, pert_state), runconfig.solver, runconfig.params, observe=observe,
-        counters=counters,
-    )
-    series.fault = fault
-    return series, diffs, fault
-
-
-def _run_stability(runconfig, built, chash):
-    base, pert, pert_records = built
-    counters = {}
-    series, diffs, fault = run_pair(
-        runconfig, base.state, pert.state, runconfig.scenario.p, runconfig.scenario.R0,
-        counters=counters,
-    )
-    series.metadata["config_hash"] = chash
-    diff_totals = [p["total"] for _, p in diffs]
-    for name in ("rho", "P", "Q", "total"):
-        series.columns[f"twin_diff_{name}"] = [p[name] for _, p in diffs]
-    summary = {
-        "scenario_records": _jsonable({**base.records, **pert_records}),
-        "fault": fault,
-        "twin_diff_max": max(diff_totals) if diff_totals else None,
-        "twin_diff_final": diff_totals[-1] if diff_totals else None,
-        "eps_pert": runconfig.scenario.eps_pert,
-        "fits": {},
-        "conlf_witness": {},
-        "lyapunov_constants": series.metadata.get("lyapunov_constants"),
-        "energy_balance": energy_balance_residual(series) if len(series) > 1 else None,
-        "final_time": series.times[-1] if series.times else 0.0,
-        "counters": counters,
-    }
-    return series, summary
-
-
-def _emit(runconfig, series, summary, outdir, chash):
+def _emit(runconfig, series, summary, final_state, outdir, chash):
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "config.txt").write_text(runconfig.raw_text)
-    final_state = summary.pop("_final_state", None)
     if "csv" in runconfig.out_formats:
         cio.write_series(outdir / "series.csv", series, chash)
     if "json" in runconfig.out_formats:
-        cio.write_summary(outdir / "summary.json", _jsonable(summary))
+        cio.write_summary(outdir / "summary.json", summary)
     if "checkpoint" in runconfig.out_formats and final_state is not None:
         cio.write_checkpoint(outdir / "final.ckpt", final_state, chash)
     if "plots" in runconfig.out_formats or "csv" in runconfig.out_formats:
@@ -256,7 +204,7 @@ def _emit(runconfig, series, summary, outdir, chash):
 
 def _jsonable(obj):
     if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items() if not str(k).startswith("_")}
+        return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, (np.floating, np.integer)):

@@ -391,7 +391,9 @@ def stability_pair(
     base: InitialData, eps_pert: float, seed: int, p: float = 2.0, R0: float = 1.0
 ) -> tuple[InitialData, InitialData, dict]:
     """Reference state plus a perturbed twin whose difference has the
-    perturbation norm rescaled to exactly eps_pert."""
+    perturbation norm rescaled to exactly eps_pert. The records name the
+    perturbation's seed `pert_seed`, so merged over the reference's records
+    they keep its `seed`."""
     ref = base.state
     grid = ref.grid
     if eps_pert == 0.0:
@@ -407,7 +409,7 @@ def stability_pair(
     u_pert = ref.u + scale * du
     pert_state = FlowState(0.0, a_pert, u_pert, ref.params)
     parts = stability_difference_norm(scale * da, scale * du, p, R0)
-    records = {"eps_pert": eps_pert, **parts, "seed": seed, "p": p, "R0": R0}
+    records = {"eps_pert": eps_pert, **parts, "pert_seed": seed, "p": p, "R0": R0}
     return base, InitialData(state=pert_state, records=records), records
 
 

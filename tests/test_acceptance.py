@@ -13,7 +13,7 @@ from cnslab.diagnostics import (
     DiagnosticSeries,
     DiagnosticsConfig,
     beta,
-    conlf_rhs,
+    conlf_constant,
     energy_balance_residual,
     fit_decay,
     lyapunov_nonincreasing,
@@ -69,12 +69,8 @@ def _decay_run(n, p0, bump_radius):
     state = equilibrium_perturbation(
         grid, 1e-2, p0, seed=42, params=PARAMS, bump_radius=bump_radius
     ).state
-    cfg = SolverConfig(dt=0.2, T=45.0, scheme="imex2", cadence="geometric",
-                       strict_mode=True)
-    series = DiagnosticSeries()
-    observe = make_observer(PARAMS, DiagnosticsConfig(p0_list=[p0]), series)
-    _, _, fault = integrate(state, cfg, PARAMS, observe=observe)
-    assert fault is None
+    series = small_data_run(state, PARAMS, dt=0.2, T=45.0, cadence="geometric")
+    assert series.fault is None
     return series
 
 
@@ -198,17 +194,9 @@ class TestCriterion08DecayExponent:
 
 
 class TestCriterion09LowFrequencyMass:
-    @staticmethod
-    def _fit_constant(series, p0):
-        times = np.asarray(series.times)
-        mlow = series.column("mlow")
-        rhs = np.asarray([conlf_rhs(series, t, p0, PARAMS) for t in times])
-        ok = rhs > 0
-        return float(np.max(mlow[ok] / rhs[ok]))
-
     def test_fitted_constant_stable(self, decay_runs):
-        c64 = self._fit_constant(decay_runs[("p1", 64)], 1.0)
-        c48 = self._fit_constant(decay_runs[("p1", 48)], 1.0)
+        c64 = conlf_constant(decay_runs[("p1", 64)], 1.0, PARAMS)
+        c48 = conlf_constant(decay_runs[("p1", 48)], 1.0, PARAMS)
         drift = abs(c48 / c64 - 1.0)
         ok = np.isfinite(c64) and np.isfinite(c48) and drift <= 0.5
         _report(9, ok, f"C_hat(64)={c64:.3g}, C_hat(48)={c48:.3g}, "
@@ -222,19 +210,13 @@ class TestCriterion10StabilityTwins:
         eps_pert = 1e-3
         base = equilibrium_perturbation(grid, 1e-2, 1.0, seed=5, params=PARAMS)
         ref, pert, _ = stability_pair(base, eps_pert, seed=6, p=2.0)
-        from cnslab.scenarios import stability_difference_norm
-
         cfg = SolverConfig(dt=0.05, T=20.0, scheme="imex2", cadence="geometric",
                            strict_mode=True)
-
-        def observe(states, extras):
-            s_ref, s_pert = states
-            return stability_difference_norm(
-                s_pert.a - s_ref.a, s_pert.u - s_ref.u, 2.0)["total"]
-
-        diffs, _, fault = integrate((ref.state, pert.state), cfg, PARAMS, observe=observe)
+        series = DiagnosticSeries()
+        observe = make_observer(PARAMS, DiagnosticsConfig(), series, twin=(2.0, 1.0))
+        _, _, fault = integrate((ref.state, pert.state), cfg, PARAMS, observe=observe)
         assert fault is None, fault  # a fault ends the twin run early
-        diffs = np.asarray(diffs)
+        diffs = series.column("twin_diff_total")
         ok = diffs.max() <= 10.0 * eps_pert and diffs[-1] < diffs.max()
         _report(10, ok, f"max diff {diffs.max():.2e} (<= {10 * eps_pert:.0e}), "
                          f"final {diffs[-1]:.2e} < max (T=20, 32^3)")

@@ -11,7 +11,9 @@ from cnslab import verify
 from cnslab.cli import main
 from cnslab.config import parse_config
 from cnslab.io import read_checkpoint, read_series
-from cnslab.run import execute_run, resume_run
+from cnslab.run import execute_run, resume_run, run_pair
+from cnslab.scenarios import build_scenario
+from cnslab.spectral import make_grid
 
 SMALL_CONFIG = """\
 [grid]
@@ -164,6 +166,65 @@ class TestExecuteRun:
         assert summary["twin_diff_max"] is not None
         back = read_series(tmp_path / "series.csv")
         assert "twin_diff_total" in back.columns
+
+
+TWIN_CONFIG = SMALL_CONFIG.replace("kind = equilibrium_perturbation",
+                                   "kind = stability_pair\neps_pert = 0.001")
+TWIN_COLUMNS = ["twin_diff_rho", "twin_diff_P", "twin_diff_Q", "twin_diff_total"]
+
+
+@pytest.fixture(scope="module")
+def twin_and_single():
+    """A twin run and the single run of its reference state: the same
+    [scenario] with kind = equilibrium_perturbation."""
+    return execute_run(parse_config(TWIN_CONFIG)), execute_run(parse_config(SMALL_CONFIG))
+
+
+class TestTwinRun:
+    def test_reference_columns_are_the_single_run(self, twin_and_single):
+        (twin, _), (single, _) = twin_and_single
+        assert twin.header[-4:] == TWIN_COLUMNS
+        assert twin.header[:-4] == single.header
+        assert twin.times == single.times
+        for key in single.columns:
+            assert np.array_equal(twin.column(key), single.column(key)), key
+
+    def test_summary_is_the_single_summary_plus_twin_keys(self, twin_and_single):
+        (twin, summary), (_, single) = twin_and_single
+        assert set(summary) == set(single) | {"eps_pert", "twin_diff_max", "twin_diff_final"}
+        for key in ("fault", "final_time", "energy_balance", "fits", "conlf_witness",
+                    "lyapunov_constants"):
+            assert summary[key] == single[key], key
+        assert summary["twin_diff_max"] == max(twin.columns["twin_diff_total"])
+        assert summary["twin_diff_final"] == twin.columns["twin_diff_total"][-1]
+        # the merged records keep the reference's seed
+        assert summary["scenario_records"]["seed"] == 3
+        assert summary["scenario_records"]["pert_seed"] == 4
+
+    def test_run_pair_is_the_twin_run(self, twin_and_single):
+        (twin, _), _ = twin_and_single
+        cfg = parse_config(TWIN_CONFIG)
+        grid = make_grid(cfg.grid_n, cfg.grid_L, cfg.grid_dim)
+        base, pert, _ = build_scenario(cfg.scenario, grid, cfg.params)
+        series = run_pair(cfg, base.state, pert.state)
+        assert series.times == twin.times and series.columns == twin.columns
+
+    def test_summary_holds_json_values_only(self, twin_and_single):
+        for _, summary in twin_and_single:
+            assert json.loads(json.dumps(summary)) == summary
+
+    def test_resume_refuses_a_twin_config(self, tmp_path, capsys):
+        first = tmp_path / "first.cfg"
+        first.write_text(SMALL_CONFIG.replace("T = 0.5", "T = 0.25"))
+        assert main(["run", str(first), "--out", str(tmp_path / "leg1")]) == 0
+        twin = tmp_path / "twin.cfg"
+        twin.write_text(TWIN_CONFIG)
+        capsys.readouterr()
+        assert main(["resume", str(tmp_path / "leg1" / "final.ckpt"), "--config", str(twin),
+                     "--out", str(tmp_path / "leg2")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "stability_pair" in err
+        assert not (tmp_path / "leg2").exists()
 
 
 class TestFitSummary:
