@@ -126,9 +126,7 @@ class LyapunovConstants:
         return {k: getattr(self, k) for k in ("A1", "A2", "A3", "A4", "A5", "A6")}
 
 
-def calibrate_lyapunov(
-    state0: FlowState, params: PhysicalParams, margin: float = 2.0
-) -> LyapunovConstants:
+def calibrate_lyapunov(state0: FlowState, params: PhysicalParams) -> LyapunovConstants:
     """Deterministic choice of the Lyapunov weights: A1=A2=A3=A5=A6=1 and A4
     sized so the negative cross terms -(frak_a, div u) and int f(rho) are
     dominated by half of the A4 entropy block on the density band the
@@ -145,7 +143,7 @@ def calibrate_lyapunov(
     c_h = float(min(np.min(h / e**2), lim_h))
     c_frak = float(max(np.max(np.abs(band**g - 1.0) / np.abs(e)), g))
     c_f = float(np.max(np.abs(pressure_cross_density(band, g, params.lam, params.mu)) / h))
-    a4 = max(1.0, margin * (c_frak**2 / (2.0 * (params.lam + params.mu) * c_h) + c_f))
+    a4 = max(1.0, 2.0 * (c_frak**2 / (2.0 * (params.lam + params.mu) * c_h) + c_f))
     return LyapunovConstants(A4=a4)
 
 
@@ -508,6 +506,8 @@ class DiagnosticsConfig:
     def __post_init__(self):
         if not all(p >= 1 for p in self.p_list):
             raise ValueError(f"p_list entries must be >= 1, got {self.p_list}")
+        if not all(1.0 <= p0 <= 2.0 for p0 in self.p0_list):
+            raise ValueError(f"p0_list entries must lie in [1, 2], got {self.p0_list}")
         if self.holder_alpha is not None and not 0.0 < self.holder_alpha < 1.0:
             raise ValueError(f"holder_alpha must lie in (0, 1), got {self.holder_alpha:g}")
         if self.holder_radius < 1:
@@ -603,7 +603,7 @@ def make_observer(params: PhysicalParams, cfg: DiagnosticsConfig, series: Diagno
             if spec.hybrid:
                 val = hybrid_norm(fld, spec.s, spec.t, spec.r_low, spec.p, spec.R0)
             else:
-                val = besov_norm(fld, spec)
+                val = besov_norm(fld, spec.s, spec.p, spec.r)
             record[norm_column_name(selector, spec)] = val
         if cfg.holder_alpha is not None:
             if state_holder["snapshots"] % cfg.holder_every == 0:

@@ -89,15 +89,6 @@ class CutoffProfile:
         r = np.asarray(r, dtype=np.float64)
         return self.chi(r / 2.0) - self.chi(r)
 
-    def __hash__(self):
-        return hash((self.inner, self.outer))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CutoffProfile)
-            and (self.inner, self.outer) == (other.inner, other.outer)
-        )
-
 
 _DEFAULT = CutoffProfile()
 
@@ -121,9 +112,8 @@ def _shell_values(grid: Grid, fn, js) -> np.ndarray:
     return fn(np.ldexp(radii, -np.asarray(js)[:, None]))
 
 
-def dyadic_block(f: Field, j: int, profile: CutoffProfile | None = None) -> Field:
+def dyadic_block(f: Field, j: int) -> Field:
     """Frequency block at scale 2^j: spectral multiplier phi(2^-j |k|)."""
-    profile = profile or _DEFAULT
     jmin, jmax = active_scale_range(f.grid)
     if j < jmin or j > jmax:
         warnings.warn(
@@ -132,14 +122,13 @@ def dyadic_block(f: Field, j: int, profile: CutoffProfile | None = None) -> Fiel
             stacklevel=2,
         )
         return Field.zeros(f.grid)
-    phi = _shell_values(f.grid, profile.phi, [j])[0]
+    phi = _shell_values(f.grid, _DEFAULT.phi, [j])[0]
     return Field(f.grid, phi[f.grid.msq] * _sdata(f), "spectral")
 
 
-def low_pass(f: Field, j: int, profile: CutoffProfile | None = None) -> Field:
+def low_pass(f: Field, j: int) -> Field:
     """Low-pass at scale 2^j: multiplier chi(2^-j |k|); keeps the mean mode."""
-    profile = profile or _DEFAULT
-    chi = _shell_values(f.grid, profile.chi, [j])[0]
+    chi = _shell_values(f.grid, _DEFAULT.chi, [j])[0]
     return Field(f.grid, chi[f.grid.msq] * _sdata(f), "spectral")
 
 
@@ -148,15 +137,13 @@ class DyadicDecomposition:
     """The family {block_j} of a field over the active scale range."""
 
     source: Field
-    profile: CutoffProfile
     blocks: dict = field(default_factory=dict)
 
     @classmethod
-    def decompose(cls, f: Field, profile: CutoffProfile | None = None):
-        profile = profile or _DEFAULT
+    def decompose(cls, f: Field):
         jmin, jmax = active_scale_range(f.grid)
-        blocks = {j: dyadic_block(f, j, profile) for j in range(jmin, jmax + 1)}
-        return cls(source=f, profile=profile, blocks=blocks)
+        blocks = {j: dyadic_block(f, j) for j in range(jmin, jmax + 1)}
+        return cls(source=f, blocks=blocks)
 
     def reconstruct(self) -> Field:
         out = Field.zeros(self.source.grid)
@@ -225,14 +212,14 @@ def parse_norm_key(key: str) -> NormSpec:
     raise ValueError(f"unknown norm key kind {kind!r}")
 
 
-def _block_lp_norms(f, p, profile, js):
+def _block_lp_norms(f, p, js):
     """L^p norm of each dyadic block; vector fields through the pointwise
     Euclidean magnitude of their blocks. For p=2 one bincount of the
     Hermitian-weighted spectral power over shells (Parseval); otherwise each
     block is inverted from the half spectrum, one scale at a time."""
     grid = f.grid
     comps = f.components if isinstance(f, VectorField) else (f,)
-    phi = _shell_values(grid, profile.phi, js)
+    phi = _shell_values(grid, _DEFAULT.phi, js)
     if p == 2:
         power = grid.w * sum(np.abs(_sdata(c)) ** 2 for c in comps)
         shells = np.bincount(grid.msq.ravel(), weights=power.ravel(), minlength=phi.shape[1])
@@ -290,32 +277,22 @@ def _demean(f, warn=True):
     return f
 
 
-def besov_norm(f, spec_or_s, p=None, r=None, profile: CutoffProfile | None = None,
-               warn_mean: bool = True) -> float:
+def besov_norm(f, s, p, r, warn_mean: bool = True) -> float:
     """Homogeneous Besov semi-norm: ell^r over scales of 2^(js) * L^p block norms.
 
-    Accepts a NormSpec or the raw (s, p, r) triple; vector fields are measured
-    through the pointwise Euclidean magnitude of their blocks.
+    Vector fields are measured through the pointwise Euclidean magnitude of
+    their blocks.
     """
-    if isinstance(spec_or_s, NormSpec):
-        s, p, r = spec_or_s.s, spec_or_s.p, spec_or_s.r
-    else:
-        s = spec_or_s
-    profile = profile or _DEFAULT
     f = _demean(f, warn=warn_mean)
     jmin, jmax = active_scale_range(f.grid)
     js = list(range(jmin, jmax + 1))
-    norms = np.asarray(_block_lp_norms(f, p, profile, js))
+    norms = np.asarray(_block_lp_norms(f, p, js))
     return _ell_r(_scale_weights(js, s) * norms, r)
 
 
-def truncated_besov_norm(
-    f, s, p, part: str, R0: float = 1.0, profile: CutoffProfile | None = None,
-    warn_mean: bool = True,
-) -> float:
+def truncated_besov_norm(f, s, p, part: str, R0: float = 1.0, warn_mean: bool = True) -> float:
     """Low/high truncated semi-norm: the ell^1 block sum restricted to
     2^j <= R0 ('low') or 2^j > R0 ('high')."""
-    profile = profile or _DEFAULT
     j0 = _split_index(R0)
     f = _demean(f, warn=warn_mean)
     jmin, jmax = active_scale_range(f.grid)
@@ -327,20 +304,19 @@ def truncated_besov_norm(
         raise ValueError("part must be 'low' or 'high'")
     if not js:
         return 0.0
-    norms = np.asarray(_block_lp_norms(f, p, profile, js))
+    norms = np.asarray(_block_lp_norms(f, p, js))
     return float(np.sum(_scale_weights(js, s) * norms))
 
 
-def split_low_high(f: Field, R0: float, profile: CutoffProfile | None = None):
+def split_low_high(f: Field, R0: float):
     """(f_low, f_high) with f_low the sum of blocks at 2^j <= R0; the pair
     recombines to f minus its mean."""
-    profile = profile or _DEFAULT
     j0 = _split_index(R0)
     jmin, jmax = active_scale_range(f.grid)
     low = Field.zeros(f.grid)
     high = Field.zeros(f.grid)
     for j in range(jmin, jmax + 1):
-        b = dyadic_block(f, j, profile)
+        b = dyadic_block(f, j)
         if j <= j0:
             low = low + b
         else:
@@ -348,14 +324,11 @@ def split_low_high(f: Field, R0: float, profile: CutoffProfile | None = None):
     return low, high
 
 
-def hybrid_norm(
-    f, s, t, r, p, R0: float = 1.0, profile: CutoffProfile | None = None,
-    warn_mean: bool = True,
-) -> float:
+def hybrid_norm(f, s, t, r, p, R0: float = 1.0, warn_mean: bool = True) -> float:
     """Low frequencies measured with (s, L^r), high with (t, L^p), both with
     ell^1 sums, split at R0."""
-    return truncated_besov_norm(f, s, r, "low", R0, profile, warn_mean) + (
-        truncated_besov_norm(f, t, p, "high", R0, profile, warn_mean)
+    return truncated_besov_norm(f, s, r, "low", R0, warn_mean) + (
+        truncated_besov_norm(f, t, p, "high", R0, warn_mean)
     )
 
 
@@ -365,56 +338,48 @@ def _time_lq(values: np.ndarray, times: np.ndarray, q) -> float:
     return float(np.trapezoid(values**q, times) ** (1.0 / q))
 
 
-def chemin_lerner_norm(
-    times, fields, q, spec_or_s, p=None, r=None, profile: CutoffProfile | None = None
-) -> float:
+def chemin_lerner_norm(times, fields, q, s, p, r) -> float:
     """Per-block time-Lebesgue norm (trapezoidal) before the ell^r scale sum."""
-    if isinstance(spec_or_s, NormSpec):
-        s, p, r = spec_or_s.s, spec_or_s.p, spec_or_s.r
-    else:
-        s = spec_or_s
     times = np.asarray(times, dtype=np.float64)
     fields = list(fields)
     if len(fields) == 0 or len(times) != len(fields):
         raise ValueError("need a nonempty time series with matching times")
-    profile = profile or _DEFAULT
     grid = fields[0].grid
     jmin, jmax = active_scale_range(grid)
     js = list(range(jmin, jmax + 1))
     per_block = np.empty((len(js), len(fields)))
     for n, f in enumerate(fields):
-        per_block[:, n] = _block_lp_norms(_demean(f, warn=False), p, profile, js)
+        per_block[:, n] = _block_lp_norms(_demean(f, warn=False), p, js)
     vals = np.asarray([_time_lq(per_block[i], times, q) for i in range(len(js))])
     return _ell_r(_scale_weights(js, s) * vals, r)
 
 
-def time_besov_norm(times, fields, q, s, p, r, profile: CutoffProfile | None = None) -> float:
+def time_besov_norm(times, fields, q, s, p, r) -> float:
     """Plain L^q-in-time of the Besov norm (scale sum before the time norm)."""
     times = np.asarray(times, dtype=np.float64)
-    vals = np.asarray([besov_norm(f, s, p, r, profile) for f in fields])
+    vals = np.asarray([besov_norm(f, s, p, r) for f in fields])
     return _time_lq(vals, times, q)
 
 
 # ---------------------------------------------------------------------------
 # Bony paraproduct decomposition
 
-def bony_decompose(u: Field, v: Field, profile: CutoffProfile | None = None):
+def bony_decompose(u: Field, v: Field):
     """(T_u v, T_v u, R) with T_u v = sum_j S_(j-1)u * block_j v and
     R = sum_j block_j u * (block_(j-1)+block_j+block_(j+1)) v, all products
     dealiased. For mean-zero inputs the three parts rebuild the dealiased
     product of u and v."""
     if not u.grid.compatible(v.grid):
         raise GridMismatchError("bony_decompose needs a shared grid")
-    profile = profile or _DEFAULT
     grid = u.grid
     jmin, jmax = active_scale_range(grid)
     js = list(range(jmin, jmax + 1))
 
     ut, vt = dealias(u), dealias(v)
-    ub = {j: _pdata(dyadic_block(ut, j, profile)) for j in js}
-    vb = {j: _pdata(dyadic_block(vt, j, profile)) for j in js}
-    ulow = {j: _pdata(low_pass(ut, j - 1, profile)) for j in js}
-    vlow = {j: _pdata(low_pass(vt, j - 1, profile)) for j in js}
+    ub = {j: _pdata(dyadic_block(ut, j)) for j in js}
+    vb = {j: _pdata(dyadic_block(vt, j)) for j in js}
+    ulow = {j: _pdata(low_pass(ut, j - 1)) for j in js}
+    vlow = {j: _pdata(low_pass(vt, j - 1)) for j in js}
 
     tuv = np.zeros(grid.shape)
     tvu = np.zeros(grid.shape)
@@ -434,11 +399,10 @@ def bony_decompose(u: Field, v: Field, profile: CutoffProfile | None = None):
 # ---------------------------------------------------------------------------
 # witness harnesses
 
-def partition_of_unity_error(grid: Grid, profile: CutoffProfile | None = None) -> float:
+def partition_of_unity_error(grid: Grid) -> float:
     """max over active nonzero lattice modes of |1 - sum_j phi(2^-j |k|)|."""
-    profile = profile or _DEFAULT
     jmin, jmax = active_scale_range(grid)
-    total = np.sum(_shell_values(grid, profile.phi, range(jmin, jmax + 1)), axis=0)
+    total = np.sum(_shell_values(grid, _DEFAULT.phi, range(jmin, jmax + 1)), axis=0)
     occupied = np.bincount(grid.msq.ravel(), minlength=len(total)) > 0
     occupied[0] = False
     return float(np.max(np.abs(total[occupied] - 1.0)))
@@ -478,7 +442,7 @@ class BernsteinReport:
         return max(vals) / min(vals)
 
 
-def _annulus_packet(grid: Grid, j: int, rng, profile: CutoffProfile) -> Field:
+def _annulus_packet(grid: Grid, j: int, rng) -> Field:
     """Random single-annulus field: a Gaussian wave packet at scale 2^-j,
     filtered to the dyadic annulus. Packets (rather than delocalized random
     modes) track the sharp frequency-inequality constants across scales; the
@@ -499,7 +463,7 @@ def _annulus_packet(grid: Grid, j: int, rng, profile: CutoffProfile) -> Field:
         r2 += dxa**2
         proj += direction[ax] * dxa
     samples = np.exp(-r2 / (2.0 * width**2)) * np.cos(carrier * proj + phase)
-    return dyadic_block(Field.from_physical(grid, samples), j, profile)
+    return dyadic_block(Field.from_physical(grid, samples), j)
 
 
 def bernstein_witness(
@@ -508,7 +472,6 @@ def bernstein_witness(
     q: float,
     order: int,
     j_range,
-    profile: CutoffProfile | None = None,
     seed: int = 0,
     samples_per_scale: int = 4,
 ) -> BernsteinReport:
@@ -516,14 +479,13 @@ def bernstein_witness(
     scales; the testable claim is that the max/min spread stays bounded."""
     if q < p:
         raise ValueError("requires p <= q")
-    profile = profile or _DEFAULT
     rng = np.random.default_rng(seed)
     js = list(j_range)
     ratios, per_sample = {}, {}
     for j in js:
         vals = []
         for _ in range(samples_per_scale):
-            f = _annulus_packet(grid, j, rng, profile)
+            f = _annulus_packet(grid, j, rng)
             if lebesgue_norm(f, 2) < 1e-12:
                 continue
             vals.append(bernstein_ratio(f, j, p, q, order))
@@ -595,7 +557,6 @@ def heat_estimate_witness(
     mu: float,
     T: float,
     n_snapshots: int = 200,
-    profile: CutoffProfile | None = None,
 ) -> HeatWitnessReport:
     """Smoothing-estimate witness: LHS is the per-block mixed norm of the heat
     solution at regularity s + 2/m, RHS the data norm ||z0|| + ||f|| without
@@ -605,12 +566,12 @@ def heat_estimate_witness(
     times = np.linspace(0.0, T, n_snapshots + 1)
     series = heat_evolve(z0, forcing, mu, times)
     s_lhs = s + (0.0 if m == np.inf else 2.0 / m)
-    lhs = chemin_lerner_norm(times, series, m, s_lhs, p, r, profile)
-    rhs = besov_norm(z0, s, p, r, profile)
+    lhs = chemin_lerner_norm(times, series, m, s_lhs, p, r)
+    rhs = besov_norm(z0, s, p, r)
     if forcing is not None:
         if isinstance(forcing, Field):
             fseries = [forcing] * len(times)
         else:
             fseries = list(forcing)
-        rhs += chemin_lerner_norm(times, fseries, 1, s, p, r, profile)
+        rhs += chemin_lerner_norm(times, fseries, 1, s, p, r)
     return HeatWitnessReport(lhs=lhs, rhs=rhs)

@@ -6,6 +6,7 @@ norms its experiment tracks."""
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field as dc_field
 
@@ -103,11 +104,12 @@ def smooth_bump(grid: Grid, center=None, radius: float | None = None) -> np.ndar
     return functools.reduce(np.multiply.outer, factors)
 
 
-def _low_mode_modulation(grid: Grid, rng, max_mode: int = 2) -> np.ndarray:
-    """Real random trig polynomial from seeded low-mode phases, O(1) amplitude."""
+def _low_mode_modulation(grid: Grid, rng) -> np.ndarray:
+    """Real random trig polynomial from seeded phases of the modes |m_i| <= 2,
+    O(1) amplitude."""
     terms = [
         (m, rng.uniform(0.5, 1.0), rng.uniform(0.0, 2.0 * np.pi))
-        for m in _mode_iter(grid.dim, max_mode)
+        for m in _mode_iter(grid.dim, 2)
     ]
     return _pdata(_trig_polynomial(grid, terms)) / math.sqrt(len(terms))
 
@@ -127,8 +129,6 @@ def _trig_polynomial(grid: Grid, terms) -> Field:
 def _mode_iter(dim, max_mode):
     """Fixed enumeration of nonzero low modes, one per conjugate pair,
     independent of the grid resolution."""
-    import itertools
-
     for m in itertools.product(range(-max_mode, max_mode + 1), repeat=dim):
         if m == (0,) * dim:
             continue
@@ -159,22 +159,20 @@ def _band_profile(grid: Grid, rng) -> Field:
     return dealias(_mean_zero_unit(grid, smooth_bump(grid) * _low_mode_modulation(grid, rng)))
 
 
-def _spectrally_shaped_field(grid: Grid, rng, slope: float = -2.5, kcut: float | None = None) -> Field:
-    """Random mean-zero field with |f_hat(k)| ~ |k|^slope up to kcut
-    (default 8 k_min): the torus stand-in for data with critical L^2 (but no
-    better) integrability, whose mass sits at the lowest wavenumbers."""
+def _spectrally_shaped_field(grid: Grid, rng) -> Field:
+    """Random mean-zero field with |f_hat(k)| ~ |k|^-2.5 up to kcut = 8 k_min:
+    the torus stand-in for data with critical L^2 (but no better)
+    integrability, whose mass sits at the lowest wavenumbers."""
     base = 2.0 * np.pi / grid.length
-    if kcut is None:
-        kcut = 8.0 * base
-    max_mode = int(kcut / base)
+    kcut = 8.0 * base
     terms = []
-    for m in _mode_iter(grid.dim, max_mode):
+    for m in _mode_iter(grid.dim, 8):
         k = base * math.sqrt(sum(c * c for c in m))
         if k > kcut:
             rng.uniform()
             rng.uniform()
             continue
-        terms.append((m, rng.uniform(0.5, 1.0) * k**slope, rng.uniform(0.0, 2.0 * np.pi)))
+        terms.append((m, rng.uniform(0.5, 1.0) * k**-2.5, rng.uniform(0.0, 2.0 * np.pi)))
     f = _trig_polynomial(grid, terms)
     peak = np.max(np.abs(_pdata(f)))
     return Field(grid, _sdata(f) / peak, "spectral")
@@ -247,7 +245,6 @@ def oscillating_data(
     grid: Grid,
     eps_osc: float,
     amplitude: float = 1.0,
-    seed: int = 0,
     params: PhysicalParams | None = None,
     bump_radius: float | None = None,
 ) -> InitialData:
@@ -421,7 +418,7 @@ def build_scenario(cfg: ScenarioConfig, grid: Grid, params: PhysicalParams):
             grid, cfg.epsilon, cfg.p0, cfg.seed, params, cfg.bump_radius
         )
     if cfg.kind == "oscillating":
-        return oscillating_data(grid, cfg.eps_osc, cfg.amplitude, cfg.seed, params)
+        return oscillating_data(grid, cfg.eps_osc, cfg.amplitude, params, cfg.bump_radius)
     if cfg.kind == "large_vertical":
         return large_vertical_data(
             grid,

@@ -393,11 +393,10 @@ def field_from_function(grid: Grid, fn) -> Field:
     return Field(grid, np.asarray(fn(*grid.x), dtype=np.float64), PHYSICAL)
 
 
-def random_field(grid: Grid, seed, band=None, rng=None) -> Field:
+def random_field(grid: Grid, seed, band=None) -> Field:
     """Seeded random real field; optional (klow, khigh) band limits its
     spectral support to klow <= |k| <= khigh."""
-    rng = np.random.default_rng(seed) if rng is None else rng
-    samples = rng.standard_normal(grid.shape)
+    samples = np.random.default_rng(seed).standard_normal(grid.shape)
     f = Field(grid, samples, PHYSICAL)
     if band is not None:
         klow, khigh = band

@@ -282,6 +282,8 @@ class TestCli:
         ("cadence = uniform:0.1", "cadence = bogus"),
         ("cadence = uniform:0.1", "cadence = uniform:-0.1"),
         ("p0_list = 1", "p0_list = 1\np_list = 0.5"),
+        ("p0_list = 1", "p0_list = 0.5"),
+        ("p0_list = 1", "p0_list = 3"),
         ("p0_list = 1", "p0_list = 1\nholder_every = 0"),
         ("p0_list = 1", "p0_list = 1\nholder_alpha = 1.5"),
         ("p0_list = 1", "p0_list = 1\nholder_alpha = 0.5\nholder_radius = 0"),

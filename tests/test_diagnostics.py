@@ -22,6 +22,7 @@ from cnslab.diagnostics import (
     low_freq_mass,
     lyapunov_X,
     make_observer,
+    norm_column_name,
     pressure_cross_density,
     relative_entropy,
     select_field,
@@ -442,6 +443,27 @@ class TestSeriesAndObserver:
         assert "2" in series.metadata["initial_lp_norms"]
         # near equilibrium the density ratio |frak_a|/|a| hugs gamma
         assert record["afrak_ratio_min"] == pytest.approx(PARAMS.gamma, rel=0.1)
+
+    def test_observer_norm_columns_are_the_lp_norms(self, grid16):
+        from cnslab.lp import NormSpec, besov_norm, hybrid_norm
+
+        a = 0.05 * random_field(grid16, seed=14, band=(0.5, 3.0))
+        u = VectorField([0.05 * random_field(grid16, seed=15 + i, band=(0.5, 3.0))
+                         for i in range(3)])
+        st = FlowState(0.0, a, u, PARAMS)
+        norms = [("a", NormSpec(s=0.5, p=2, r=1)),
+                 ("Pu3", NormSpec(s=-0.25, p=4, r=2)),
+                 ("u", NormSpec(s=0.5, t=-0.25, p=4, r=1, r_low=2, R0=2.0))]
+        observe = make_observer(PARAMS, DiagnosticsConfig(norms=norms), DiagnosticSeries())
+        record = observe(st, {"diss_cum": 0.0})
+        for selector, spec in norms:
+            fld = select_field(st, selector)
+            if spec.hybrid:
+                want = hybrid_norm(fld, spec.s, spec.t, spec.r_low, spec.p, spec.R0)
+            else:
+                want = besov_norm(fld, spec.s, spec.p, spec.r)
+            assert want > 0.0
+            assert record[norm_column_name(selector, spec)] == want
 
     def test_select_field_knows_all_selectors(self, grid16):
         st = FlowState(0.0, Field.zeros(grid16), VectorField.zeros(grid16), PARAMS)

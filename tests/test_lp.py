@@ -152,7 +152,7 @@ class TestShellTable:
         f = VectorField(comps) if vector else comps[0]
         jmin, jmax = active_scale_range(grid)
         js = list(range(jmin, jmax + 1))
-        got = np.asarray(_block_lp_norms(f, p, default_profile(), js))
+        got = np.asarray(_block_lp_norms(f, p, js))
         ref = _direct_block_norms(f, p, js)
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(ref)
         weights = 2.0 ** (0.5 * np.asarray(js))

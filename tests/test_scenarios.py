@@ -279,3 +279,13 @@ class TestScenarioConfigDispatch:
         assert built.state.rho_min > 0
         trio = build_scenario(ScenarioConfig(kind="stability_pair"), grid16, PARAMS)
         assert len(trio) == 3
+
+    def test_oscillating_reads_bump_radius(self, grid16):
+        radius = grid16.length / 12.0
+        cfg = ScenarioConfig(kind="oscillating", eps_osc=0.5, bump_radius=radius)
+        built = build_scenario(cfg, grid16, PARAMS).state
+        ref = oscillating_data(grid16, eps_osc=0.5, params=PARAMS, bump_radius=radius).state
+        default = oscillating_data(grid16, eps_osc=0.5, params=PARAMS).state
+        for got, want in zip((built.a, *built.u), (ref.a, *ref.u)):
+            assert np.array_equal(got.data, want.data)
+        assert not np.array_equal(built.u[0].data, default.u[0].data)
