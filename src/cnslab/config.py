@@ -1,10 +1,10 @@
 """Plain-text run configuration: [section] headers with key = value lines,
 '#' comments, validated whole before any allocation. Each key is declared
 once, on the dataclass field that holds it; parsing, defaults and the summary
-echo derive from the fields. Field metadata may give the file "key" (None:
-not in the file), on RunConfig the "section" (its dataclass-valued fields are
-whole sections named after the field), and a "parse"/"echo" pair for a
-grammar other than the field type's."""
+echo derive from the fields. Field metadata may give the file "key", on
+RunConfig the "section" (its dataclass-valued fields are whole sections named
+after the field), and a "parse"/"echo" pair for a grammar other than the
+field type's."""
 
 from __future__ import annotations
 
@@ -128,9 +128,8 @@ def _build_keys() -> dict:
 
     def add(section, owner, f):
         key = f.metadata.get("key", f.name)
-        if key is not None:
-            parse = f.metadata.get("parse") or _CONVERT[f.type]
-            keys.setdefault(section, {})[key] = (owner, f, parse, f.metadata.get("echo", copy))
+        parse = f.metadata.get("parse") or _CONVERT[f.type]
+        keys.setdefault(section, {})[key] = (owner, f, parse, f.metadata.get("echo", copy))
 
     for section, cls in _SECTIONS:
         for f in fields(cls):

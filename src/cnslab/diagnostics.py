@@ -47,7 +47,6 @@ __all__ = [
     "conlf_constant",
     "beta",
     "fit_decay",
-    "lipschitz_budget",
     "holder_norm",
     "DiagnosticsConfig",
     "make_observer",
@@ -346,14 +345,6 @@ class _LipschitzIntegral:
             self.quad += 0.5 * (t - t0) * (f0**2 + linf**2)
         self._prev = (t, linf)
         return self.lin, self.quad
-
-
-def lipschitz_budget(series: "DiagnosticSeries"):
-    """Running trapezoidal integrals of ||grad u||_Linf and its square at
-    every snapshot of the series, as the observer records them."""
-    acc = _LipschitzIntegral()
-    rows = [acc.add(t, v) for t, v in zip(series.times, series.column("grad_u_linf"))]
-    return tuple(np.asarray(rows).reshape(-1, 2).T)
 
 
 def holder_norm(f: Field, alpha: float, radius: int = 4) -> float:

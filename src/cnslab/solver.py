@@ -4,7 +4,8 @@ velocity form on the periodic box.
 The constant-coefficient viscous operator mu*Lap u + (lambda+mu)*grad div u is
 integrated exactly per Fourier mode (it splits into mu |k|^2 on the
 divergence-free part and (lambda+2mu)|k|^2 on the gradient part); transport,
-pressure and the variable-density correction are explicit.
+pressure and the variable-density correction are explicit. The one scheme is
+the integrating-factor Heun step, `imex2`.
 """
 
 from __future__ import annotations
@@ -94,14 +95,12 @@ class SolverConfig:
     cadence: str = "geometric"  # or "uniform:<dt_snap>"
     adaptive: bool = True
     strict_mode: bool = False
-    # test hook, not a config key: freeze a, drop every explicit term
-    linear_only: bool = dc_field(default=False, metadata={"key": None})
 
     def __post_init__(self):
         if not self.dt > 0:
             raise ValueError("dt must be positive")
-        if self.scheme not in ("imex1", "imex2"):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
+        if self.scheme != "imex2":
+            raise ValueError(f"unknown scheme {self.scheme!r}; the one scheme is imex2")
         if not 0 < self.cfl_target <= 0.5:
             raise ValueError("cfl_target must lie in (0, 0.5]")
         if self.T < 0:
@@ -295,60 +294,47 @@ def _viscous_exponential(grid, params: PhysicalParams, dt: float):
     return dec_p, (dec_q - dec_p) * grid.inv_k2
 
 
-def _apply_viscous_exponential(grid, factors, u_hats):
-    dec_p, dq = factors
+def _viscous_kernel(grid, alpha, beta, u_hats):
+    """alpha u + beta k (k.u) per mode, k = grid.k_odd. The viscous image is
+    alpha = -mu |k|^2, beta = -(lambda+mu); its exponential over a step is
+    (alpha, beta) = (dec_p, dq) from `_viscous_exponential`."""
     k = grid.k_odd
     k_dot_u = sum(k[ax] * u_hats[ax] for ax in range(grid.dim))
-    return [dec_p * u_hats[ax] + dq * k[ax] * k_dot_u for ax in range(grid.dim)]
+    return [alpha * u_hats[ax] + beta * k[ax] * k_dot_u for ax in range(grid.dim)]
 
 
 def _linear_viscous_hat(grid, params, u_hats):
     """Spectral image of mu Lap u + (lambda+mu) grad div u."""
-    k = grid.k_odd
-    k_dot_u = sum(k[ax] * u_hats[ax] for ax in range(grid.dim))
-    return [
-        -params.mu * grid.k2 * u_hats[ax] - (params.lam + params.mu) * k[ax] * k_dot_u
-        for ax in range(grid.dim)
-    ]
+    return _viscous_kernel(grid, -params.mu * grid.k2, -(params.lam + params.mu), u_hats)
 
 
-def _explicit_parts(state: FlowState, linear_only: bool):
-    """(da_hat, [N_hat]) as rhs_full returns them, the rates the step takes
-    explicitly. Both lie in the 2/3 ball, so the step keeps the state there."""
-    if linear_only:
-        return 0.0, [0.0] * state.grid.dim
-    return _sdata(state.rhs.da), state.rhs.n
-
-
-def _advance(state: FlowState, dt: float, config: SolverConfig, params: PhysicalParams):
+def _advance(state: FlowState, dt: float, factors, params: PhysicalParams):
+    """One integrating-factor Heun (imex2) step of size dt, with `factors` the
+    viscous exponential over dt. The explicit rates of `rhs_full` lie in the
+    2/3 ball, so the step keeps the state there."""
     grid = state.grid
     a_hat = _sdata(state.a)
     u_hats = [_sdata(c) for c in state.u.components]
 
-    factors = _viscous_exponential(grid, params, dt)
-
-    da1, nu1 = _explicit_parts(state, config.linear_only)
+    da1, nu1 = _sdata(state.rhs.da), state.rhs.n
     a_star = a_hat + dt * da1
-    u_star = _apply_viscous_exponential(
-        grid, factors, [u_hats[ax] + dt * nu1[ax] for ax in range(grid.dim)]
+    u_star = _viscous_kernel(
+        grid, *factors, [u_hats[ax] + dt * nu1[ax] for ax in range(grid.dim)]
     )
-    if config.scheme == "imex1":
-        a_new, u_new = a_star, u_star
-    else:
-        mid = FlowState(
-            state.t + dt,
-            Field(grid, a_star, "spectral"),
-            VectorField([Field(grid, uh, "spectral") for uh in u_star]),
-            params,
-        )
-        da2, nu2 = _explicit_parts(mid, config.linear_only)
-        del mid  # free its samples and RHS before the new state is built: peak memory
-        u_n_decayed = _apply_viscous_exponential(grid, factors, u_hats)
-        a_new = 0.5 * a_hat + 0.5 * (a_star + dt * da2)
-        u_new = [
-            0.5 * u_n_decayed[ax] + 0.5 * (u_star[ax] + dt * nu2[ax])
-            for ax in range(grid.dim)
-        ]
+    mid = FlowState(
+        state.t + dt,
+        Field(grid, a_star, "spectral"),
+        VectorField([Field(grid, uh, "spectral") for uh in u_star]),
+        params,
+    )
+    da2, nu2 = _sdata(mid.rhs.da), mid.rhs.n
+    del mid  # free its samples and RHS before the new state is built: peak memory
+    u_n_decayed = _viscous_kernel(grid, *factors, u_hats)
+    a_new = 0.5 * a_hat + 0.5 * (a_star + dt * da2)
+    u_new = [
+        0.5 * u_n_decayed[ax] + 0.5 * (u_star[ax] + dt * nu2[ax])
+        for ax in range(grid.dim)
+    ]
     return FlowState(
         state.t + dt,
         Field(grid, a_new, "spectral"),
@@ -363,19 +349,20 @@ def cfl_dt_bound(state: FlowState, config: SolverConfig) -> float:
 
 
 def step(state: FlowState, config: SolverConfig, params: PhysicalParams) -> FlowState:
-    """Advance by config.dt; in adaptive mode a CFL violation splits the step
-    into equal substeps, in fixed mode it raises CFLError."""
+    """Advance by config.dt in equal substeps: one when dt is within the CFL
+    bound, ceil(dt/bound) otherwise in adaptive mode; fixed mode raises
+    CFLError instead. The viscous exponential is formed once per call."""
     bound = cfl_dt_bound(state, config)
-    if config.dt <= bound * (1.0 + 1e-12):
-        return _advance(state, config.dt, config, params)
-    if not config.adaptive:
+    within = config.dt <= bound * (1.0 + 1e-12)
+    if not (within or config.adaptive):
         raise CFLError(
             f"dt={config.dt:g} exceeds CFL bound {bound:.6g} at t={state.t:g}"
         )
-    nsub = int(math.ceil(config.dt / bound))
+    nsub = 1 if within else int(math.ceil(config.dt / bound))
     sub = config.dt / nsub
+    factors = _viscous_exponential(state.grid, params, sub)
     for _ in range(nsub):
-        state = _advance(state, sub, config, params)
+        state = _advance(state, sub, factors, params)
     return state
 
 
@@ -467,7 +454,7 @@ def integrate(
         current = states if batch else states[0]
         extras = {"diss_cum": diss_cum, "step": istep, "dt": dt}
         before = transform_count()
-        if istep < last and not config.linear_only:
+        if istep < last:
             states[0].rhs  # memoized on the state for the next step
             counters["transforms_stepping"] += transform_count() - before
             before = transform_count()

@@ -96,7 +96,7 @@ def bony_defect(grid, seed_pairs, band) -> float:
 def small_data_run(state, params, dt, T, cadence) -> DiagnosticSeries:
     """The observed strict-mode imex2 run of `state` to time T; the series
     carries the run's fault, None when it completes."""
-    cfg = SolverConfig(dt=dt, T=T, scheme="imex2", cadence=cadence, strict_mode=True)
+    cfg = SolverConfig(dt=dt, T=T, cadence=cadence, strict_mode=True)
     series = DiagnosticSeries()
     observe = make_observer(params, DiagnosticsConfig(p0_list=[1.0]), series)
     _, _, series.fault = integrate(state, cfg, params, observe=observe)

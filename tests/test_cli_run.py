@@ -2,6 +2,9 @@
 emitted files, and the CLI surface with its exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -288,6 +291,7 @@ class TestCli:
         ("p0_list = 1", "p0_list = 1\nholder_alpha = 1.5"),
         ("p0_list = 1", "p0_list = 1\nholder_alpha = 0.5\nholder_radius = 0"),
         ("formats = csv,json,checkpoint", "formats = csv,json,checkpoint\ncheckpoint_every = -2"),
+        ("scheme = imex2", "scheme = imex1"),
     ])
     def test_invalid_value_exits_before_the_run(self, tmp_path, capsys, edit):
         bad = tmp_path / "bad.cfg"
@@ -349,6 +353,17 @@ class TestCli:
         for kind in ("equilibrium_perturbation", "oscillating", "large_vertical",
                      "stability_pair"):
             assert kind in out
+
+    def test_python_m_runs_the_cli(self):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        done = subprocess.run([sys.executable, "-m", "cnslab", "scenario", "list"],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        for kind in ("equilibrium_perturbation", "oscillating", "large_vertical",
+                     "stability_pair"):
+            assert kind in done.stdout
 
     def test_resume_cli(self, tmp_path):
         cfg_path = tmp_path / "run.cfg"
