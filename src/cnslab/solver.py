@@ -10,6 +10,8 @@ the integrating-factor Heun step, `imex2`.
 
 from __future__ import annotations
 
+import concurrent.futures
+import contextlib
 import math
 from dataclasses import dataclass, field as dc_field
 
@@ -146,9 +148,8 @@ class FlowState:
 
     @property
     def rho_phys(self) -> np.ndarray:
-        if "rho" not in self._cache:
-            self._cache["rho"] = 1.0 + _pdata(self.a)
-        return self._cache["rho"]
+        """Density samples 1 + a: one addition per read, so not held."""
+        return 1.0 + _pdata(self.a)
 
     @property
     def rho_min(self) -> float:
@@ -195,7 +196,9 @@ class FlowState:
 
     def drop_derived(self):
         """Free the cached derived fields and the memoized samples of a and u;
-        they are rebuilt on demand."""
+        they are rebuilt on demand. `_advance` calls it on the state it steps
+        once it has read the state's RHS, so a stepped state keeps only its
+        spectra; a second step from it re-forms the samples."""
         self._cache.clear()
         for f in (self.a, *self.u.components):
             f._alt = None
@@ -258,10 +261,14 @@ def rhs_full(state: FlowState, params: PhysicalParams) -> RhsResult:
     inv_rho = 1.0 / state.rho_phys
     n, g = [], []
     for i in range(grid.dim):
-        pressure = _inverse_real(grid, -ik[i] * frak_hat)
-        g.append(inv_rho * (pressure - a_p * _inverse_real(grid, visc_hat[i])))
+        g_i = _inverse_real(grid, -ik[i] * frak_hat)  # the pressure force P_i
+        g_i -= a_p * _inverse_real(grid, visc_hat[i])
+        g_i *= inv_rho
+        g.append(g_i)
+        visc_hat[i] = None  # each image is read once: free it before the next
         conv = sum(u_p[j] * _inverse_real(grid, ik[j] * u_hat[i]) for j in range(grid.dim))
-        n.append(_forward_half(g[i] - conv) * mask)
+        n.append(_forward_half(np.subtract(g_i, conv, out=conv)) * mask)
+        del conv
     return RhsResult(da=Field(grid, da_hat, "spectral"), n=n, g=g)
 
 
@@ -311,23 +318,33 @@ def _linear_viscous_hat(grid, params, u_hats):
 def _advance(state: FlowState, dt: float, factors, params: PhysicalParams):
     """One integrating-factor Heun (imex2) step of size dt, with `factors` the
     viscous exponential over dt. The explicit rates of `rhs_full` lie in the
-    2/3 ball, so the step keeps the state there."""
+    2/3 ball, so the step keeps the state there.
+
+    The step holds only what it still reads. Once it has the input's rates
+    it drops the input's derived arrays (`FlowState.drop_derived`), and it
+    frees the rates once the midpoint is formed. The midpoint keeps the one
+    dealiased copy of its spectra, and it is freed, samples and RHS, before
+    the new state is built."""
     grid = state.grid
     a_hat = _sdata(state.a)
     u_hats = [_sdata(c) for c in state.u.components]
 
     da1, nu1 = _sdata(state.rhs.da), state.rhs.n
+    state.drop_derived()  # the step reads only the spectra and these rates
     a_star = a_hat + dt * da1
     u_star = _viscous_kernel(
         grid, *factors, [u_hats[ax] + dt * nu1[ax] for ax in range(grid.dim)]
     )
+    del da1, nu1
     mid = FlowState(
         state.t + dt,
         Field(grid, a_star, "spectral"),
         VectorField([Field(grid, uh, "spectral") for uh in u_star]),
         params,
     )
+    del a_star, u_star  # mid holds their dealiased copies; read those back
     da2, nu2 = _sdata(mid.rhs.da), mid.rhs.n
+    a_star, u_star = _sdata(mid.a), [_sdata(c) for c in mid.u.components]
     del mid  # free its samples and RHS before the new state is built: peak memory
     u_n_decayed = _viscous_kernel(grid, *factors, u_hats)
     a_new = 0.5 * a_hat + 0.5 * (a_star + dt * da2)
@@ -335,6 +352,7 @@ def _advance(state: FlowState, dt: float, factors, params: PhysicalParams):
         0.5 * u_n_decayed[ax] + 0.5 * (u_star[ax] + dt * nu2[ax])
         for ax in range(grid.dim)
     ]
+    del u_n_decayed, a_star, u_star, da2, nu2
     return FlowState(
         state.t + dt,
         Field(grid, a_new, "spectral"),
@@ -401,6 +419,14 @@ def snapshot_steps(config: SolverConfig) -> list[int]:
     return sorted(picks)
 
 
+def _step_or_fault(state: FlowState, config: SolverConfig, params: PhysicalParams):
+    """step(state, ...), or the runtime fault it raised."""
+    try:
+        return step(state, config, params)
+    except (PositivityFault, CFLError) as exc:
+        return exc
+
+
 def integrate(
     state0,
     config: SolverConfig,
@@ -417,7 +443,13 @@ def integrate(
     state0 may be a tuple of states (a twin pair): the members step in
     lockstep, `observe` and `on_snapshot` receive the tuple, and the final
     states come back as a tuple. The dissipation integral follows the first
-    member.
+    member. The members must be distinct states: between snapshots they are
+    independent, and member 0 steps
+    on the calling thread while the others step on worker threads (numpy's
+    large-array ufuncs and scipy's transforms release the GIL); each step
+    writes only its own state. A single state takes no thread. When several
+    members fault in one step, the fault recorded is that of the first, as
+    in a serial loop.
 
     Stepping starts at step index round(t0/dt) of the horizon's step grid, so
     a continued state lands on the snapshots of an uninterrupted run. After
@@ -428,16 +460,20 @@ def integrate(
 
     A `counters` dict receives the deterministic counts of the run: steps
     taken, snapshots taken, and the real transforms made while stepping and
-    while observing (`spectral.transform_count`). At a snapshot the first
-    member's RHS, which the observer reads through `u_dot` and the next step
-    reuses, is formed before the observer runs and counts as stepping. The
-    other members form theirs in their own step, so a pair does not hold
-    both RHSs through the first member's step.
+    while observing (`spectral.transform_count`). The counts are exact with
+    concurrent members (the transform count is locked), so a pair counts the
+    sum of its members' single runs; a step that faults counts every
+    member's attempt. At a snapshot the first member's RHS, which the
+    observer reads through `u_dot` and the next step reuses, is formed before
+    the observer runs and counts as stepping. The other members form theirs
+    in their own step, so the observer's peak does not hold them.
     """
     if config.strict_mode:
         params.validate_strict()
     batch = isinstance(state0, tuple)
     states = state0 if batch else (state0,)
+    if len(set(map(id, states))) < len(states):
+        raise ValueError("the members of a pair must be distinct states")
     dt = config.dt
     start = int(round(states[0].t / dt))
     origin = states[0].t - start * dt
@@ -466,25 +502,26 @@ def integrate(
         counters["transforms_observe"] += transform_count() - before
 
     take(start)
-    for istep in range(start + 1, last + 1):
-        stepped = []
-        before = transform_count()
-        try:
-            for s in states:
-                stepped.append(step(s, config, params))
-                s.drop_derived()  # s is kept only to be returned on a fault
-        except (PositivityFault, CFLError) as exc:
-            fault = {"type": type(exc).__name__, "time": states[0].t, "message": str(exc)}
-            break
-        finally:
+    pool = (concurrent.futures.ThreadPoolExecutor(max_workers=len(states) - 1)
+            if len(states) > 1 else contextlib.nullcontext())
+    with pool:
+        for istep in range(start + 1, last + 1):
+            before = transform_count()
+            others = [pool.submit(_step_or_fault, s, config, params) for s in states[1:]]
+            stepped = [_step_or_fault(states[0], config, params)]
+            stepped += [f.result() for f in others]
             counters["transforms_stepping"] += transform_count() - before
-        counters["steps"] += 1
-        states = tuple(stepped)
-        for s in states:
-            s.t = origin + istep * dt
-        d_new = dissipation_rate(states[0], params)
-        diss_cum += 0.5 * dt * (d_prev + d_new)
-        d_prev = d_new
-        if istep in snaps:
-            take(istep)
+            exc = next((r for r in stepped if isinstance(r, Exception)), None)
+            if exc is not None:
+                fault = {"type": type(exc).__name__, "time": states[0].t, "message": str(exc)}
+                break
+            counters["steps"] += 1
+            states = tuple(stepped)
+            for s in states:
+                s.t = origin + istep * dt
+            d_new = dissipation_rate(states[0], params)
+            diss_cum += 0.5 * dt * (d_prev + d_new)
+            d_prev = d_new
+            if istep in snaps:
+                take(istep)
     return records, (states if batch else states[0]), fault

@@ -18,6 +18,8 @@ over the full spectrum is the sum over the half with the Hermitian weight
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import scipy.fft as _fft
 
@@ -52,7 +54,10 @@ SPECTRAL = "spectral"
 PHYSICAL = "physical"
 
 # Real transforms made by this process: calls of _forward_half and _inverse_real.
+# The members of a twin pair step on two threads, so the count is locked: a
+# bare += may lose an increment, and the count must repeat exactly.
 _transform_calls = 0
+_transform_lock = threading.Lock()
 
 
 class GridError(ValueError):
@@ -334,17 +339,21 @@ def transform_count() -> int:
     return _transform_calls
 
 
+def _count_transform():
+    global _transform_calls
+    with _transform_lock:
+        _transform_calls += 1
+
+
 def _forward_half(samples: np.ndarray) -> np.ndarray:
     """Half-spectrum coefficients of real samples."""
-    global _transform_calls
-    _transform_calls += 1
+    _count_transform()
     return _fft.rfftn(samples, norm="forward")
 
 
 def _inverse_real(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
     """Real samples of half-spectrum coefficients."""
-    global _transform_calls
-    _transform_calls += 1
+    _count_transform()
     return _fft.irfftn(coeffs, s=grid.shape, norm="forward")
 
 
