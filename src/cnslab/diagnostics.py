@@ -11,7 +11,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .helmholtz import effective_flux
+from .helmholtz import effective_flux, incompressible_part, project
 from .lp import NormSpec, besov_norm, format_norm_key, hybrid_norm, parse_norm_key
 from .scenarios import stability_difference_norm
 from .solver import FlowState, PhysicalParams, dissipation_rate
@@ -23,8 +23,8 @@ from .spectral import (
     _pdata,
     _sdata,
     divergence,
-    gradient,
     lebesgue_norm,
+    partial_deriv,
     sobolev_norm,
 )
 
@@ -164,42 +164,47 @@ def lyapunov_X(
             + A2 (mu ||grad u||^2 + (lam+mu) ||div u||^2 - (frak_a, div u) + int f)
             + A3 ||frak_a||_L6^2 + A4 (int H + ||sqrt(rho) u||^2)
             + A5 ||sqrt(rho) u_dot||^2 + A6 ||grad frak_a||^2,
-    together with its comparison quantity."""
+    together with its comparison quantity. Each pointwise array is freed
+    after its last read, and u_dot is formed one component at a time."""
     grid = state.grid
     cell = _cell(grid)
     rho = state.rho_phys
     mu, lam, g = params.mu, params.lam, params.gamma
 
     u2 = sum(_pdata(c) ** 2 for c in state.u.components)
+    l4 = float(np.sum(rho * u2 * u2) * cell)
+    kinetic = float(np.sum(rho * u2) * cell)
+    del u2
     h = entropy_density(rho, g)
     f_vals = pressure_cross_density(rho, g, lam, mu)
-
-    div_u = divergence(state.u)
-    frak = state.frak_a
-    cross = float(np.sum(_pdata(frak) * _pdata(div_u)) * cell)
-
-    udot = state.u_dot
-    udot2 = sum(_pdata(c) ** 2 for c in udot.components)
-
-    x = (
-        constants.A1 * float(np.sum(rho * u2 * u2) * cell)
-        + constants.A2 * (dissipation_rate(state, params) - cross + float(np.sum(f_vals) * cell))
-        + constants.A3 * lebesgue_norm(frak, 6) ** 2
-        + constants.A4 * (float(np.sum(h) * cell) + float(np.sum(rho * u2) * cell))
-        + constants.A5 * float(np.sum(rho * udot2) * cell)
-        + constants.A6 * sobolev_norm(frak, 1.0, homogeneous=True) ** 2
-    )
-    comparator = (
-        sobolev_norm(state.u, 1.0) ** 2
-        + sobolev_norm(state.a, 1.0) ** 2
-        + sum(lebesgue_norm(c, 2) ** 2 for c in udot.components)
-    )
+    entropy, f_int = float(np.sum(h) * cell), float(np.sum(f_vals) * cell)
     hmax = float(np.max(h))
     if hmax > 0:
         sig = h > 1e-3 * hmax
         f_ratio = float(np.max(np.abs(f_vals[sig]) / h[sig])) if np.any(sig) else 0.0
+        del sig
     else:
         f_ratio = 0.0
+    del h, f_vals
+
+    frak = state.frak_a
+    cross = float(np.sum(_pdata(frak) * _pdata(divergence(state.u))) * cell)
+
+    udot2 = udot_l2 = 0
+    for c in state.u_dot_components():
+        udot2 = udot2 + _pdata(c) ** 2
+        udot_l2 += lebesgue_norm(c, 2) ** 2
+        del c  # before the next component is formed
+
+    x = (
+        constants.A1 * l4
+        + constants.A2 * (dissipation_rate(state, params) - cross + f_int)
+        + constants.A3 * lebesgue_norm(frak, 6) ** 2
+        + constants.A4 * (entropy + kinetic)
+        + constants.A5 * float(np.sum(rho * udot2) * cell)
+        + constants.A6 * sobolev_norm(frak, 1.0, homogeneous=True) ** 2
+    )
+    comparator = sobolev_norm(state.u, 1.0) ** 2 + sobolev_norm(state.a, 1.0) ** 2 + udot_l2
     return LyapunovResult(X=x, comparator=comparator, f_over_H_max=f_ratio)
 
 
@@ -219,7 +224,7 @@ def low_freq_mass(state: FlowState, t: float, c_split: float = 1.0) -> float:
     gamma = state.params.gamma
     a_hat = vol * _sdata(state.a)
     total = gamma * np.abs(a_hat[mask]) ** 2
-    for c in state.momentum().components:
+    for c in state.momentum_components():
         total = total + np.abs(vol * _sdata(c)[mask]) ** 2
     weight = np.broadcast_to(grid.w, mask.shape)[mask]  # Hermitian weights of the half
     return float(np.sum(weight * total) * (2.0 * np.pi / grid.length) ** grid.dim)
@@ -417,23 +422,34 @@ _SELECTORS = ("a", "u", "Pu", "Qu", "Pu3", "PuH", "d", "frak_a")
 
 
 def select_field(state: FlowState, name: str):
+    """The field a norm column measures. The Helmholtz parts are projected
+    on each call and not held on the state: the caller holds the one part
+    it measures, and the P selectors form P u without Q u and d."""
     if name == "a":
         return state.a
     if name == "u":
         return state.u
     if name == "Pu":
-        return state.split.P
+        return incompressible_part(state.u)
     if name == "Qu":
-        return state.split.Q
+        return project(state.u).Q
     if name == "Pu3":
-        return state.split.P.vertical
+        return incompressible_part(state.u).vertical
     if name == "PuH":
-        return VectorField(list(state.split.P.horizontal) + [Field.zeros(state.grid)])
+        return VectorField(list(incompressible_part(state.u).horizontal) + [Field.zeros(state.grid)])
     if name == "d":
-        return state.split.d
+        return project(state.u).d
     if name == "frak_a":
         return state.frak_a
     raise ValueError(f"unknown field selector {name!r}; choose from {_SELECTORS}")
+
+
+def _field_norm(state: FlowState, selector: str, spec: NormSpec) -> float:
+    """The norm column (selector, spec), holding the field only while it is read."""
+    fld = select_field(state, selector)
+    if spec.hybrid:
+        return hybrid_norm(fld, spec.s, spec.t, spec.r_low, spec.p, spec.R0)
+    return besov_norm(fld, spec.s, spec.p, spec.r)
 
 
 def norm_column_name(selector: str, spec: NormSpec) -> str:
@@ -507,6 +523,37 @@ class DiagnosticsConfig:
             raise ValueError(f"holder_every must be >= 1, got {self.holder_every}")
 
 
+def _initial_lp_norms(state: FlowState, p0_list) -> dict:
+    """||a0||_Lp0 and ||rho0 u0||_Lp0 for each p0, read by `conlf_rhs`."""
+    rho_u = state.momentum()
+    return {
+        _p0_key(p0): {"a": lebesgue_norm(state.a, p0), "rho_u": lebesgue_norm(rho_u, p0)}
+        for p0 in p0_list
+    }
+
+
+def _grad_linf(u: VectorField) -> float:
+    """||grad u||_Linf, the largest pointwise Frobenius norm; each of the
+    dim^2 derivatives is formed, read and freed in turn."""
+    grid = u.grid
+    mag2 = np.zeros(grid.shape)
+    for c in u.components:
+        for ax in range(grid.dim):
+            mag2 += _pdata(partial_deriv(c, ax)) ** 2
+    return float(np.sqrt(np.max(mag2)))
+
+
+def _afrak_range(state: FlowState, gamma: float) -> tuple[float, float]:
+    """(min, max) of |frak_a / a| over the samples where |a| exceeds 1e-3 of
+    its peak; (gamma, gamma), the small-amplitude limit, where none does."""
+    a_abs = np.abs(_pdata(state.a))
+    sig = a_abs > 1e-3 * (np.max(a_abs) or 1.0)
+    if not np.any(sig):
+        return gamma, gamma
+    ratios = np.abs(_pdata(state.frak_a))[sig] / a_abs[sig]
+    return float(np.min(ratios)), float(np.max(ratios))
+
+
 def make_observer(params: PhysicalParams, cfg: DiagnosticsConfig, series: DiagnosticSeries,
                   twin: tuple[float, float] | None = None):
     """Build the per-snapshot observer closure. The first call calibrates the
@@ -527,37 +574,18 @@ def make_observer(params: PhysicalParams, cfg: DiagnosticsConfig, series: Diagno
             else:
                 state_holder["constants"] = cfg.lyapunov
             series.metadata["lyapunov_constants"] = state_holder["constants"].as_dict()
-            rho_u = state.momentum()
-            series.metadata["initial_lp_norms"] = {
-                _p0_key(p0): {
-                    "a": lebesgue_norm(state.a, p0),
-                    "rho_u": lebesgue_norm(rho_u, p0),
-                }
-                for p0 in cfg.p0_list
-            }
+            series.metadata["initial_lp_norms"] = _initial_lp_norms(state, cfg.p0_list)
         constants = state_holder["constants"]
 
         e, d = basic_energy(state, params)
         lyap = lyapunov_X(state, params, constants)
-
-        grad_mag2 = np.zeros(state.grid.shape)
-        for c in state.u.components:
-            for comp in gradient(c).components:
-                grad_mag2 += _pdata(comp) ** 2
-        linf = float(np.sqrt(np.max(grad_mag2)))
+        linf = _grad_linf(state.u)
         t = state.t
         lip, lip_sq = lipschitz.add(t, linf)
-
         flux = effective_flux(state.u, state.frak_a, params.lam, params.mu)
-        a_abs = np.abs(_pdata(state.a))
-        frak_abs = np.abs(_pdata(state.frak_a))
-        sig = a_abs > 1e-3 * (np.max(a_abs) or 1.0)
-        if np.any(sig):
-            ratios = frak_abs[sig] / a_abs[sig]
-            afrak_lo, afrak_hi = float(np.min(ratios)), float(np.max(ratios))
-        else:
-            afrak_lo = afrak_hi = params.gamma
-
+        eflux_l2, eflux_h1dot = lebesgue_norm(flux, 2), sobolev_norm(flux, 1.0, homogeneous=True)
+        del flux
+        afrak_lo, afrak_hi = _afrak_range(state, params.gamma)
         l2_a, l2_u = lebesgue_norm(state.a, 2), lebesgue_norm(state.u, 2)
         record = {
             "E": e,
@@ -580,8 +608,8 @@ def make_observer(params: PhysicalParams, cfg: DiagnosticsConfig, series: Diagno
             "grad_u_linf": linf,
             "grad_u_linf_int": lip,
             "grad_u_linf_sq_int": lip_sq,
-            "eflux_l2": lebesgue_norm(flux, 2),
-            "eflux_h1dot": sobolev_norm(flux, 1.0, homogeneous=True),
+            "eflux_l2": eflux_l2,
+            "eflux_h1dot": eflux_h1dot,
             "mlow": low_freq_mass(state, t, cfg.c_split),
             "afrak_ratio_min": afrak_lo,
             "afrak_ratio_max": afrak_hi,
@@ -590,20 +618,16 @@ def make_observer(params: PhysicalParams, cfg: DiagnosticsConfig, series: Diagno
             record[f"lp{p:g}_a"] = lebesgue_norm(state.a, p)
             record[f"lp{p:g}_u"] = lebesgue_norm(state.u, p)
         for selector, spec in cfg.norms:
-            fld = select_field(state, selector)
-            if spec.hybrid:
-                val = hybrid_norm(fld, spec.s, spec.t, spec.r_low, spec.p, spec.R0)
-            else:
-                val = besov_norm(fld, spec.s, spec.p, spec.r)
-            record[norm_column_name(selector, spec)] = val
+            record[norm_column_name(selector, spec)] = _field_norm(state, selector, spec)
         if cfg.holder_alpha is not None:
             if state_holder["snapshots"] % cfg.holder_every == 0:
-                rho_field = Field.from_physical(state.grid, state.rho_phys)
                 state_holder["holder_last"] = holder_norm(
-                    rho_field, cfg.holder_alpha, cfg.holder_radius
+                    Field.from_physical(state.grid, state.rho_phys),
+                    cfg.holder_alpha, cfg.holder_radius,
                 )
             record["holder_rho"] = state_holder.get("holder_last", 0.0)
         state_holder["snapshots"] += 1
+        state.drop_observed()  # the state keeps only what the next step reads
         return record
 
     def observe(observed, extras: dict) -> dict:

@@ -153,11 +153,13 @@ class FlowState:
 
     @property
     def rho_min(self) -> float:
-        return float(np.min(self.rho_phys))
+        """1 + min a: fl(1 + x) is monotone, so this is min(1 + a) exactly,
+        without forming the n^dim array 1 + a."""
+        return float(1.0 + np.min(_pdata(self.a)))
 
     @property
     def rho_max(self) -> float:
-        return float(np.max(self.rho_phys))
+        return float(1.0 + np.max(_pdata(self.a)))
 
     @property
     def frak_a(self) -> Field:
@@ -167,14 +169,6 @@ class FlowState:
                 Field.from_physical(self.grid, _pressure_excess(_pdata(self.a), self.params.gamma))
             )
         return self._cache["frak_a"]
-
-    @property
-    def split(self):
-        if "split" not in self._cache:
-            from .helmholtz import project
-
-            self._cache["split"] = project(self.u)
-        return self._cache["split"]
 
     @property
     def rhs(self) -> RhsResult:
@@ -188,11 +182,17 @@ class FlowState:
 
     @property
     def u_dot(self) -> VectorField:
-        """Material derivative u_t + (u . grad) u."""
-        if "u_dot" not in self._cache:
-            parts = [_forward_half(g) * self.grid.dealias_mask for g in self.rhs.g]
-            self._cache["u_dot"] = _plus_viscous(self, self.params, parts)
-        return self._cache["u_dot"]
+        """Material derivative u_t + (u . grad) u, formed on each read from
+        the cached RHS (3 forward transforms), not held."""
+        return VectorField(list(self.u_dot_components()))
+
+    def u_dot_components(self):
+        """The components of `u_dot`, each formed when it is asked for: a
+        reader that drops one before the next holds one at a time."""
+        visc = _linear_viscous_hat(self.grid, self.params, [_sdata(c) for c in self.u.components])
+        for g in self.rhs.g:
+            yield Field(self.grid, next(visc) + _forward_half(g) * self.grid.dealias_mask,
+                        "spectral")
 
     def drop_derived(self):
         """Free the cached derived fields and the memoized samples of a and u;
@@ -203,12 +203,20 @@ class FlowState:
         for f in (self.a, *self.u.components):
             f._alt = None
 
+    def drop_observed(self):
+        """Free the cached fields only an observer reads (`frak_a`), keeping
+        the RHS and the samples of a and u that the next step reads."""
+        self._cache = {k: v for k, v in self._cache.items() if k == "rhs"}
+
     def momentum(self) -> VectorField:
         """The dealiased momentum rho u, formed from the memoized samples."""
+        return VectorField(list(self.momentum_components()))
+
+    def momentum_components(self):
+        """The components of `momentum`, each formed when it is asked for."""
         rho = self.rho_phys
-        return VectorField(
-            [dealias(Field.from_physical(self.grid, rho * _pdata(c))) for c in self.u.components]
-        )
+        for c in self.u.components:
+            yield dealias(Field.from_physical(self.grid, rho * _pdata(c)))
 
     @property
     def mean_a(self) -> float:
@@ -256,16 +264,15 @@ def rhs_full(state: FlowState, params: PhysicalParams) -> RhsResult:
     da_hat *= mask
 
     # V and P each get their own inverse; one forward transform per component
-    visc_hat = _linear_viscous_hat(grid, params, u_hat)
+    visc = _linear_viscous_hat(grid, params, u_hat)
     frak_hat = _sdata(state.frak_a)
     inv_rho = 1.0 / state.rho_phys
     n, g = [], []
     for i in range(grid.dim):
         g_i = _inverse_real(grid, -ik[i] * frak_hat)  # the pressure force P_i
-        g_i -= a_p * _inverse_real(grid, visc_hat[i])
+        g_i -= a_p * _inverse_real(grid, next(visc))  # each image is read once
         g_i *= inv_rho
         g.append(g_i)
-        visc_hat[i] = None  # each image is read once: free it before the next
         conv = sum(u_p[j] * _inverse_real(grid, ik[j] * u_hat[i]) for j in range(grid.dim))
         n.append(_forward_half(np.subtract(g_i, conv, out=conv)) * mask)
         del conv
@@ -302,12 +309,14 @@ def _viscous_exponential(grid, params: PhysicalParams, dt: float):
 
 
 def _viscous_kernel(grid, alpha, beta, u_hats):
-    """alpha u + beta k (k.u) per mode, k = grid.k_odd. The viscous image is
-    alpha = -mu |k|^2, beta = -(lambda+mu); its exponential over a step is
-    (alpha, beta) = (dec_p, dq) from `_viscous_exponential`."""
+    """alpha u + beta k (k.u) per mode, k = grid.k_odd, one component at a
+    time (a generator: a reader that drops each component holds one). The
+    viscous image is alpha = -mu |k|^2, beta = -(lambda+mu); its exponential
+    over a step is (alpha, beta) = (dec_p, dq) from `_viscous_exponential`."""
     k = grid.k_odd
     k_dot_u = sum(k[ax] * u_hats[ax] for ax in range(grid.dim))
-    return [alpha * u_hats[ax] + beta * k[ax] * k_dot_u for ax in range(grid.dim)]
+    for ax in range(grid.dim):
+        yield alpha * u_hats[ax] + beta * k[ax] * k_dot_u
 
 
 def _linear_viscous_hat(grid, params, u_hats):
@@ -346,13 +355,13 @@ def _advance(state: FlowState, dt: float, factors, params: PhysicalParams):
     da2, nu2 = _sdata(mid.rhs.da), mid.rhs.n
     a_star, u_star = _sdata(mid.a), [_sdata(c) for c in mid.u.components]
     del mid  # free its samples and RHS before the new state is built: peak memory
-    u_n_decayed = _viscous_kernel(grid, *factors, u_hats)
     a_new = 0.5 * a_hat + 0.5 * (a_star + dt * da2)
+    u_decayed = _viscous_kernel(grid, *factors, u_hats)
     u_new = [
-        0.5 * u_n_decayed[ax] + 0.5 * (u_star[ax] + dt * nu2[ax])
+        0.5 * next(u_decayed) + 0.5 * (u_star[ax] + dt * nu2[ax])
         for ax in range(grid.dim)
     ]
-    del u_n_decayed, a_star, u_star, da2, nu2
+    del u_decayed, a_star, u_star, da2, nu2
     return FlowState(
         state.t + dt,
         Field(grid, a_new, "spectral"),
@@ -466,7 +475,9 @@ def integrate(
     member's attempt. At a snapshot the first member's RHS, which the
     observer reads through `u_dot` and the next step reuses, is formed before
     the observer runs and counts as stepping. The other members form theirs
-    in their own step, so the observer's peak does not hold them.
+    in their own step, so the observer's peak does not hold them. Once the
+    last snapshot is taken, the final states drop their derived arrays
+    (`FlowState.drop_derived`) and are returned holding their spectra only.
     """
     if config.strict_mode:
         params.validate_strict()
@@ -524,4 +535,6 @@ def integrate(
             d_prev = d_new
             if istep in snaps:
                 take(istep)
+    for s in states:  # the last snapshot is taken: return spectra only
+        s.drop_derived()
     return records, (states if batch else states[0]), fault

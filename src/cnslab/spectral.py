@@ -105,7 +105,9 @@ class Grid:
     `spectral_shape` = (n, ..., n//2+1): the first n//2+1 entries of the
     last axis of the full `fftfreq` lattice, so every multiplier keeps its
     full-lattice value on each stored mode (the last-axis Nyquist index
-    carries m = -n/2). Instances are immutable and hashed by identity.
+    carries m = -n/2). The coordinate lattices `x` and `k` are read-only
+    broadcast views of their 1-D axes, not n^dim copies. Instances are
+    immutable and hashed by identity.
     """
 
     __slots__ = (
@@ -145,12 +147,12 @@ class Grid:
         ms = [m] * (self.dim - 1) + [m[:h]]  # the half lattice, axis by axis
         self.k1 = (2.0 * np.pi / self.length) * m
         ks = [self.k1] * (self.dim - 1) + [self.k1[:h]]
-        self.k = tuple(np.meshgrid(*ks, indexing="ij"))
+        self.k = _lattice(ks, self.spectral_shape)
         self.k2 = sum(a * a for a in self.k)
         self.kmag = np.sqrt(self.k2)
 
         x1 = self.length * np.arange(self.n) / self.n
-        self.x = tuple(np.meshgrid(*([x1] * self.dim), indexing="ij"))
+        self.x = _lattice([x1] * self.dim, self.shape)
 
         # 2/3-rule mask on integer indices: keep |m_i| <= n//3 in every axis.
         mgrids = np.meshgrid(*ms, indexing="ij")
@@ -208,6 +210,13 @@ class Grid:
             self is other
             or (self.n == other.n and self.dim == other.dim and self.length == other.length)
         )
+
+
+def _lattice(axes, shape) -> tuple:
+    """The `np.meshgrid` lattice of 1-D axes (ij indexing) as read-only
+    broadcast views: entry i varies along axis i only, so it holds one axis
+    of values, not a full array."""
+    return tuple(np.broadcast_to(a, shape) for a in np.meshgrid(*axes, indexing="ij", sparse=True))
 
 
 def make_grid(n_per_dim: int, box_length: float, dim: int = 3) -> Grid:
@@ -487,7 +496,7 @@ def lebesgue_norm(f, p) -> float:
     Euclidean magnitude)."""
     if isinstance(f, VectorField):
         mag2 = sum(_pdata(c) ** 2 for c in f.components)
-        vals = np.sqrt(mag2)
+        vals = np.sqrt(mag2, out=mag2)
         grid = f.grid
     else:
         vals = np.abs(_pdata(f))

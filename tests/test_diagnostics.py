@@ -3,10 +3,13 @@ and the series container."""
 
 import itertools
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from cnslab.config import parse_config
 from cnslab.diagnostics import (
     DiagnosticSeries,
     DiagnosticsConfig,
@@ -27,7 +30,8 @@ from cnslab.diagnostics import (
     relative_entropy,
     select_field,
 )
-from cnslab.solver import FlowState, PhysicalParams, SolverConfig, integrate
+from cnslab.scenarios import build_scenario
+from cnslab.solver import FlowState, PhysicalParams, SolverConfig, integrate, step
 from cnslab.spectral import (
     Field,
     PositivityFault,
@@ -485,3 +489,58 @@ class TestSeriesAndObserver:
             select_field(st, name)
         with pytest.raises(ValueError):
             select_field(st, "vorticity")
+
+
+class TestSnapshotMemory:
+    """`configs/large_vertical.txt` with the columns of the benchmark's
+    vertical48 workload (hybrid, p=4 Besov, Hoelder), at 32^3."""
+
+    @pytest.fixture(scope="class")
+    def run_config(self):
+        text = (Path(__file__).parents[1] / "configs" / "large_vertical.txt").read_text()
+        text = text.replace("n = 48", "n = 32").replace(
+            "norms = Pu3:besov:s=0.5,p=2,r=1",
+            "norms = Pu3:besov:s=0.5,p=2,r=1; a:hybrid:s=0.5,t=1.5,r=2,p=2,R0=1; "
+            "a:besov:s=0.75,p=4,r=1\nholder_alpha = 0.25\nholder_every = 4\nholder_radius = 2",
+        )
+        assert "holder_radius = 2" in text
+        return parse_config(text)
+
+    def _initial_state(self, cfg):
+        grid = make_grid(cfg.grid_n, cfg.grid_L, cfg.grid_dim)
+        return build_scenario(cfg.scenario, grid, cfg.params).state
+
+    def test_observer_peak_is_at_most_a_steps(self, run_config):
+        # traced peaks (numpy allocations counted, so deterministic) of the
+        # step-0 snapshot, which calibrates, and of the two steps after it:
+        # an observer that held u_dot, the split, the gradient or the
+        # momentum on the state would peak above a step
+        cfg = run_config
+        tracemalloc.start()
+        try:
+            state = self._initial_state(cfg)
+            observe = make_observer(cfg.params, cfg.diagnostics, DiagnosticSeries())
+            state.rhs  # formed before the observer runs, as `integrate` does
+            tracemalloc.reset_peak()
+            observe(state, {"diss_cum": 0.0})
+            observer_peak = tracemalloc.get_traced_memory()[1]
+            step_peak = 0
+            for _ in range(2):  # from the snapshot state, then from a stepped one
+                tracemalloc.reset_peak()
+                state = step(state, cfg.solver, cfg.params)
+                step_peak = max(step_peak, tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert observer_peak <= step_peak
+
+    def test_observed_state_keeps_only_the_rhs(self, run_config):
+        cfg = run_config
+        state = self._initial_state(cfg)
+        observe = make_observer(cfg.params, cfg.diagnostics, DiagnosticSeries())
+        state.rhs
+        observe(state, {"diss_cum": 0.0})
+        assert set(state._cache) == {"rhs"}
+        # the last snapshot forms no RHS first: the observer's u_dot forms it
+        state = step(state, cfg.solver, cfg.params)
+        observe(state, {"diss_cum": 0.0})
+        assert set(state._cache) <= {"rhs"}

@@ -30,6 +30,7 @@ from cnslab.spectral import (
     Field,
     PositivityFault,
     VectorField,
+    _pdata,
     _sdata,
     constant_field,
     dealias,
@@ -138,6 +139,26 @@ class TestFlowState:
         direct = material_derivative(st.u, st.u_t)
         err = max(lebesgue_norm(a - b, 2) for a, b in zip(st.u_dot, direct))
         assert err <= 1e-12
+
+    @pytest.mark.parametrize("scale", [0.3, 1e-10])
+    def test_density_bounds_are_the_extremes_of_rho(self, grid16, scale):
+        # rho_min is 1 + min a, with no 1 + a array: fl(1 + x) is monotone in
+        # x, so it equals min(1 + a) bit for bit, also where a is ~1e-10
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            a = Field.from_physical(grid16, scale * rng.standard_normal(grid16.shape))
+            st = FlowState(0.0, a, VectorField.zeros(grid16), PARAMS)
+            samples = _pdata(st.a)
+            assert st.rho_min == float(np.min(1.0 + samples))
+            assert st.rho_max == float(np.max(1.0 + samples))
+
+    def test_u_dot_is_not_held(self, grid16):
+        # u_dot is formed from the cached RHS on each read; the state keeps the
+        # RHS and the frak_a it read, not u_dot
+        st = _small_state(grid16, eps=0.05)
+        first, again = st.u_dot, st.u_dot
+        assert set(st._cache) == {"frak_a", "rhs"}
+        assert all(np.array_equal(_sdata(f), _sdata(g)) for f, g in zip(first, again))
 
 
 class TestPressureExcess:
@@ -386,7 +407,7 @@ class TestStep:
         zero = np.zeros(grid16.spectral_shape, dtype=np.complex128)
         # u perpendicular to k: a pure shear (divergence-free) mode
         factors = _viscous_exponential(grid16, PARAMS, 0.1)
-        out = _viscous_kernel(grid16, *factors, [zero, high, zero])
+        out = list(_viscous_kernel(grid16, *factors, [zero, high, zero]))
         k2 = (cut + 2) ** 2
         exact = 0.005 * np.exp(-PARAMS.mu * k2 * 0.1)
         assert out[1][cut + 2, 0, 0] == pytest.approx(exact, rel=1e-12)

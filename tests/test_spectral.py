@@ -69,6 +69,20 @@ class TestGrid:
             assert all(isinstance(a, np.ndarray) for a in arrays)
 
     @pytest.mark.parametrize("dim", [2, 3])
+    def test_coordinate_lattices_are_views_of_their_axes(self, dim):
+        # x and k equal the meshgrid lattices, but are read-only broadcast
+        # views whose memory spans one axis, not n^dim values
+        grid = make_grid(12, 3.0, dim)
+        x1 = grid.length * np.arange(grid.n) / grid.n
+        k_half = [grid.k1] * (dim - 1) + [grid.k1[: grid.n // 2 + 1]]
+        for got, axes in ((grid.x, [x1] * dim), (grid.k, k_half)):
+            for arr, ref in zip(got, np.meshgrid(*axes, indexing="ij"), strict=True):
+                assert arr.shape == ref.shape and np.array_equal(arr, ref)
+                assert not arr.flags.writeable
+                span = sum((m - 1) * abs(st) for m, st in zip(arr.shape, arr.strides))
+                assert span + arr.itemsize <= grid.n * arr.itemsize
+
+    @pytest.mark.parametrize("dim", [2, 3])
     def test_multipliers_are_the_half_of_the_fftfreq_lattice(self, dim):
         grid = make_grid(12, 3.0, dim)
         h = grid.n // 2 + 1
