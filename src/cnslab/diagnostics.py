@@ -11,7 +11,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .helmholtz import effective_flux, incompressible_part, project
+from .helmholtz import compressible_part, effective_flux, incompressible_part, project
 from .lp import NormSpec, besov_norm, format_norm_key, hybrid_norm, parse_norm_key
 from .scenarios import stability_difference_norm
 from .solver import FlowState, PhysicalParams, dissipation_rate
@@ -424,7 +424,8 @@ _SELECTORS = ("a", "u", "Pu", "Qu", "Pu3", "PuH", "d", "frak_a")
 def select_field(state: FlowState, name: str):
     """The field a norm column measures. The Helmholtz parts are projected
     on each call and not held on the state: the caller holds the one part
-    it measures, and the P selectors form P u without Q u and d."""
+    it measures: the P selectors form P u without Q u and d, and "Qu" forms
+    Q u without P u and d."""
     if name == "a":
         return state.a
     if name == "u":
@@ -432,7 +433,7 @@ def select_field(state: FlowState, name: str):
     if name == "Pu":
         return incompressible_part(state.u)
     if name == "Qu":
-        return project(state.u).Q
+        return compressible_part(state.u)
     if name == "Pu3":
         return incompressible_part(state.u).vertical
     if name == "PuH":

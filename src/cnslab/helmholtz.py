@@ -27,6 +27,7 @@ __all__ = [
     "HelmholtzSplit",
     "project",
     "incompressible_part",
+    "compressible_part",
     "lambda_power",
     "effective_flux",
     "auxiliary_w",
@@ -83,6 +84,17 @@ def incompressible_part(u: VectorField) -> VectorField:
     k_dot_u = _k_dot(grid, shat)
     return VectorField([
         Field(grid, shat[ax] - k[ax] * k_dot_u * grid.inv_k2_odd, "spectral")
+        for ax in range(grid.dim)
+    ])
+
+
+def compressible_part(u: VectorField) -> VectorField:
+    """Q u alone, bit for bit `project(u).Q`, formed one component at a
+    time without P u and d, as `incompressible_part` forms P u."""
+    grid = u.grid
+    k_dot_u = _k_dot(grid, [_sdata(c) for c in u.components])
+    return VectorField([
+        Field(grid, grid.k_odd[ax] * k_dot_u * grid.inv_k2_odd, "spectral")
         for ax in range(grid.dim)
     ])
 

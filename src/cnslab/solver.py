@@ -10,13 +10,13 @@ the integrating-factor Heun step, `imex2`.
 
 from __future__ import annotations
 
-import concurrent.futures
-import contextlib
+import functools
 import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
+from .helmholtz import _k_dot
 from .spectral import (
     Field,
     VectorField,
@@ -24,8 +24,10 @@ from .spectral import (
     _forward_half,
     _inverse_real,
     _pdata,
+    _pdata_batch,
     _sdata,
     dealias,
+    run_tasks,
     transform_count,
 )
 
@@ -114,7 +116,7 @@ class SolverConfig:
 class RhsResult:
     da: Field
     n: list  # half spectra of the explicit part N_i; du_i/dt = V_i + N_i
-    g: list  # samples of (P_i - a V_i)/rho; V + F[g] truncated is u_dot
+    g: list | None  # samples of (P_i - a V_i)/rho; V + F[g] truncated is u_dot
 
 
 class FlowState:
@@ -234,7 +236,7 @@ def _pressure_excess(a: np.ndarray, gamma: float) -> np.ndarray:
     return np.expm1(gamma * np.log1p(a))
 
 
-def rhs_full(state: FlowState, params: PhysicalParams) -> RhsResult:
+def rhs_full(state: FlowState, params: PhysicalParams, with_g: bool = True) -> RhsResult:
     """Nonconservative-form right-hand side with dealiased products:
 
     da/dt = -div((1+a) u)
@@ -247,36 +249,56 @@ def rhs_full(state: FlowState, params: PhysicalParams) -> RhsResult:
     The state's spectra lie in the 2/3 ball, so the RHS reads its memoized
     samples (shared with the CFL check and the observer) and truncates only
     products.
+
+    The mass part and each velocity component are concurrent tasks
+    (`spectral.run_tasks`); each forms only its own arrays, from what is
+    shared and formed before they start, so the result and the transform
+    count do not depend on which thread ran which. With `with_g` false the
+    samples g are freed as soon as N is formed, and `RhsResult.g` is None.
     """
     grid = state.grid
     mask, ik = grid.dealias_mask, grid.ik
 
+    # what the tasks share is formed first: the samples, then frak_a, k.u, 1/rho
     u_hat = [_sdata(c) for c in state.u.components]
-    u_p = [_pdata(c) for c in state.u.components]
-    a_p = _pdata(state.a)
-
-    # mass equation: -div(u + a u). u enters spectrally, so the product keeps
-    # the digits of a tiny a riding on an O(1) u; ik is zero at k = 0, so
-    # the mean of a is conserved exactly
-    da_hat = np.zeros(grid.spectral_shape, dtype=np.complex128)
-    for ax in range(grid.dim):
-        da_hat -= ik[ax] * (u_hat[ax] + _forward_half(a_p * u_p[ax]))
-    da_hat *= mask
-
-    # V and P each get their own inverse; one forward transform per component
-    visc = _linear_viscous_hat(grid, params, u_hat)
+    a_p, *u_p = _pdata_batch([state.a, *state.u.components])
     frak_hat = _sdata(state.frak_a)
+    alpha, beta = _viscous_symbol(grid, params)
+    k_dot_u = _k_dot(grid, u_hat)
     inv_rho = 1.0 / state.rho_phys
-    n, g = [], []
-    for i in range(grid.dim):
+
+    def mass():
+        # -div(u + a u). u enters spectrally, so the product keeps the digits
+        # of a tiny a riding on an O(1) u; ik is zero at k = 0, so the mean
+        # of a is conserved exactly
+        da_hat = np.zeros(grid.spectral_shape, dtype=np.complex128)
+        for ax in range(grid.dim):
+            da_hat -= ik[ax] * (u_hat[ax] + _forward_half(a_p * u_p[ax]))
+        da_hat *= mask
+        return Field(grid, da_hat, "spectral")
+
+    def component(i):
+        # V_i and P_i each get their own inverse; one forward transform.
+        # The temporaries are formed in place, since two components run at once
         g_i = _inverse_real(grid, -ik[i] * frak_hat)  # the pressure force P_i
-        g_i -= a_p * _inverse_real(grid, next(visc))  # each image is read once
+        visc = _inverse_real(grid, _viscous_image(grid, alpha, beta, u_hat, k_dot_u, i))
+        visc *= a_p
+        g_i -= visc
+        del visc
         g_i *= inv_rho
-        g.append(g_i)
-        conv = sum(u_p[j] * _inverse_real(grid, ik[j] * u_hat[i]) for j in range(grid.dim))
-        n.append(_forward_half(np.subtract(g_i, conv, out=conv)) * mask)
-        del conv
-    return RhsResult(da=Field(grid, da_hat, "spectral"), n=n, g=g)
+        conv = np.zeros(grid.shape)  # (u.grad) u_i, summed as sum() would from 0
+        for j in range(grid.dim):
+            d = _inverse_real(grid, ik[j] * u_hat[i])
+            d *= u_p[j]
+            conv += d
+            del d
+        n_i = _forward_half(np.subtract(g_i, conv, out=conv))
+        n_i *= mask
+        return n_i, (g_i if with_g else None)
+
+    da, *parts = run_tasks([mass] + [functools.partial(component, i) for i in range(grid.dim)])
+    return RhsResult(da=da, n=[n_i for n_i, _ in parts],
+                     g=[g_i for _, g_i in parts] if with_g else None)
 
 
 def _plus_viscous(state: FlowState, params: PhysicalParams, parts) -> VectorField:
@@ -308,20 +330,29 @@ def _viscous_exponential(grid, params: PhysicalParams, dt: float):
     return dec_p, (dec_q - dec_p) * grid.inv_k2
 
 
+def _viscous_image(grid, alpha, beta, u_hats, k_dot_u, ax):
+    """Component ax of alpha u + beta k (k.u) per mode, k = grid.k_odd."""
+    return alpha * u_hats[ax] + beta * grid.k_odd[ax] * k_dot_u
+
+
 def _viscous_kernel(grid, alpha, beta, u_hats):
     """alpha u + beta k (k.u) per mode, k = grid.k_odd, one component at a
     time (a generator: a reader that drops each component holds one). The
-    viscous image is alpha = -mu |k|^2, beta = -(lambda+mu); its exponential
-    over a step is (alpha, beta) = (dec_p, dq) from `_viscous_exponential`."""
-    k = grid.k_odd
-    k_dot_u = sum(k[ax] * u_hats[ax] for ax in range(grid.dim))
+    viscous image is `_viscous_symbol`; its exponential over a step is
+    (alpha, beta) = (dec_p, dq) from `_viscous_exponential`."""
+    k_dot_u = _k_dot(grid, u_hats)
     for ax in range(grid.dim):
-        yield alpha * u_hats[ax] + beta * k[ax] * k_dot_u
+        yield _viscous_image(grid, alpha, beta, u_hats, k_dot_u, ax)
+
+
+def _viscous_symbol(grid, params):
+    """(alpha, beta) of the viscous image: -mu |k|^2 and -(lambda+mu)."""
+    return -params.mu * grid.k2, -(params.lam + params.mu)
 
 
 def _linear_viscous_hat(grid, params, u_hats):
     """Spectral image of mu Lap u + (lambda+mu) grad div u."""
-    return _viscous_kernel(grid, -params.mu * grid.k2, -(params.lam + params.mu), u_hats)
+    return _viscous_kernel(grid, *_viscous_symbol(grid, params), u_hats)
 
 
 def _advance(state: FlowState, dt: float, factors, params: PhysicalParams):
@@ -332,8 +363,10 @@ def _advance(state: FlowState, dt: float, factors, params: PhysicalParams):
     The step holds only what it still reads. Once it has the input's rates
     it drops the input's derived arrays (`FlowState.drop_derived`), and it
     frees the rates once the midpoint is formed. The midpoint keeps the one
-    dealiased copy of its spectra, and it is freed, samples and RHS, before
-    the new state is built."""
+    dealiased copy of its spectra, its RHS keeps no samples g (two of its
+    components are formed at once; dropping g keeps the step's peak near
+    the serial one), and it is freed, samples and RHS, before the new state
+    is built."""
     grid = state.grid
     a_hat = _sdata(state.a)
     u_hats = [_sdata(c) for c in state.u.components]
@@ -352,9 +385,10 @@ def _advance(state: FlowState, dt: float, factors, params: PhysicalParams):
         params,
     )
     del a_star, u_star  # mid holds their dealiased copies; read those back
-    da2, nu2 = _sdata(mid.rhs.da), mid.rhs.n
+    rates = rhs_full(mid, params, with_g=False)  # the step never reads the mid's g
+    da2, nu2 = _sdata(rates.da), rates.n
     a_star, u_star = _sdata(mid.a), [_sdata(c) for c in mid.u.components]
-    del mid  # free its samples and RHS before the new state is built: peak memory
+    del mid, rates  # free its samples and RHS before the new state is built: peak memory
     a_new = 0.5 * a_hat + 0.5 * (a_star + dt * da2)
     u_decayed = _viscous_kernel(grid, *factors, u_hats)
     u_new = [
@@ -371,7 +405,8 @@ def _advance(state: FlowState, dt: float, factors, params: PhysicalParams):
 
 
 def cfl_dt_bound(state: FlowState, config: SolverConfig) -> float:
-    umax = float(np.max(np.sqrt(sum(_pdata(c) ** 2 for c in state.u.components))))
+    u_p = _pdata_batch(state.u.components)  # a fresh state forms them here
+    umax = float(np.max(np.sqrt(sum(c ** 2 for c in u_p))))
     return config.cfl_target * state.grid.dx / (umax + state.sound_speed_max())
 
 
@@ -453,10 +488,13 @@ def integrate(
     lockstep, `observe` and `on_snapshot` receive the tuple, and the final
     states come back as a tuple. The dissipation integral follows the first
     member. The members must be distinct states: between snapshots they are
-    independent, and member 0 steps
-    on the calling thread while the others step on worker threads (numpy's
-    large-array ufuncs and scipy's transforms release the GIL); each step
-    writes only its own state. A single state takes no thread. When several
+    independent, and they step as concurrent tasks of the process's one
+    worker pool (`spectral.run_tasks`; numpy's large-array ufuncs and scipy's
+    transforms release the GIL). Member 0 steps on the calling thread and
+    member 1 on the worker; each step writes only its own state. The RHS of
+    each state runs its own tasks through the same pool: while the worker
+    steps member 1, member 0's tasks run on the calling thread, and the
+    ones member 0 starts once the worker is free share it. When several
     members fault in one step, the fault recorded is that of the first, as
     in a serial loop.
 
@@ -513,28 +551,24 @@ def integrate(
         counters["transforms_observe"] += transform_count() - before
 
     take(start)
-    pool = (concurrent.futures.ThreadPoolExecutor(max_workers=len(states) - 1)
-            if len(states) > 1 else contextlib.nullcontext())
-    with pool:
-        for istep in range(start + 1, last + 1):
-            before = transform_count()
-            others = [pool.submit(_step_or_fault, s, config, params) for s in states[1:]]
-            stepped = [_step_or_fault(states[0], config, params)]
-            stepped += [f.result() for f in others]
-            counters["transforms_stepping"] += transform_count() - before
-            exc = next((r for r in stepped if isinstance(r, Exception)), None)
-            if exc is not None:
-                fault = {"type": type(exc).__name__, "time": states[0].t, "message": str(exc)}
-                break
-            counters["steps"] += 1
-            states = tuple(stepped)
-            for s in states:
-                s.t = origin + istep * dt
-            d_new = dissipation_rate(states[0], params)
-            diss_cum += 0.5 * dt * (d_prev + d_new)
-            d_prev = d_new
-            if istep in snaps:
-                take(istep)
+    for istep in range(start + 1, last + 1):
+        before = transform_count()
+        stepped = run_tasks([functools.partial(_step_or_fault, s, config, params)
+                             for s in states])
+        counters["transforms_stepping"] += transform_count() - before
+        exc = next((r for r in stepped if isinstance(r, Exception)), None)
+        if exc is not None:
+            fault = {"type": type(exc).__name__, "time": states[0].t, "message": str(exc)}
+            break
+        counters["steps"] += 1
+        states = tuple(stepped)
+        for s in states:
+            s.t = origin + istep * dt
+        d_new = dissipation_rate(states[0], params)
+        diss_cum += 0.5 * dt * (d_prev + d_new)
+        d_prev = d_new
+        if istep in snaps:
+            take(istep)
     for s in states:  # the last snapshot is taken: return spectra only
         s.drop_derived()
     return records, (states if batch else states[0]), fault

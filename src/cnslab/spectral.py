@@ -13,11 +13,15 @@ is one of a counted real pair (`transform_count`): `_forward_half` runs
 2/3-rule mask, `ik` with the Nyquist rows zeroed, the shell index |m|^2, the
 inverse Laplacian symbols) live on the grid, on the same half layout. A sum
 over the full spectrum is the sum over the half with the Hermitian weight
-`Grid.w`.
+`Grid.w`. `run_tasks` shares independent tasks between the calling thread and
+the process's one worker thread.
 """
 
 from __future__ import annotations
 
+import concurrent.futures
+import functools
+import os
 import threading
 
 import numpy as np
@@ -48,16 +52,24 @@ __all__ = [
     "sobolev_norm",
     "mean_value",
     "transform_count",
+    "run_tasks",
 ]
 
 SPECTRAL = "spectral"
 PHYSICAL = "physical"
 
 # Real transforms made by this process: calls of _forward_half and _inverse_real.
-# The members of a twin pair step on two threads, so the count is locked: a
-# bare += may lose an increment, and the count must repeat exactly.
+# Tasks run on two threads (`run_tasks`), so the count is locked: a bare +=
+# may lose an increment, and the count must repeat exactly.
 _transform_calls = 0
 _transform_lock = threading.Lock()
+
+# The one worker pool of the process, made on first use (`_shared_pool`):
+# None before that, False when the process has one usable core. While the
+# worker runs a task, `_worker_busy` is set.
+_pool = None
+_pool_lock = threading.Lock()
+_worker_busy = False
 
 
 class GridError(ValueError):
@@ -354,6 +366,64 @@ def _count_transform():
         _transform_calls += 1
 
 
+def _usable_cores() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _shared_pool():
+    """The process's worker pool: min(2, usable cores) - 1 threads, so none
+    on one core. Made on first use and kept; False when it has no thread."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            workers = min(2, _usable_cores()) - 1
+            _pool = (concurrent.futures.ThreadPoolExecutor(
+                max_workers=workers, thread_name_prefix="cnslab") if workers > 0 else False)
+        return _pool
+
+
+def _on_worker(thunk):
+    global _worker_busy
+    _worker_busy = True
+    try:
+        return thunk()
+    finally:
+        _worker_busy = False
+
+
+def run_tasks(thunks) -> list:
+    """The results of calling each thunk, in order, with the calls shared
+    between the calling thread and the process's one worker.
+
+    The caller runs the first thunk and submits the others to the worker.
+    Then it takes back, in order, every thunk the worker has not started
+    (the future is cancelled and the caller runs it), and waits for the
+    rest. A caller that finds the worker busy runs every thunk itself: a
+    twin pair's member 1 holds the worker for a whole step, and tasks of
+    member 0 that it took up afterwards would mix both members' arrays in
+    the worker's malloc arena, which raised the peak RSS of a 32^3 pair by
+    6%. A task that itself calls `run_tasks` finds the worker busy, so
+    nested use cannot deadlock. The process runs at most two threads, and a
+    one-core process starts none. Each thunk must write only what it owns;
+    then the results do not depend on which thread ran which.
+    """
+    thunks = list(thunks)
+    pool = _shared_pool() if len(thunks) > 1 else False
+    if not pool or _worker_busy:  # a stale read changes only who runs what
+        return [t() for t in thunks]
+    futures = [pool.submit(functools.partial(_on_worker, t)) for t in thunks[1:]]
+    try:
+        first = thunks[0]()
+        inline = {i: t() for i, (t, f) in enumerate(zip(thunks[1:], futures)) if f.cancel()}
+        return [first] + [inline[i] if i in inline else f.result() for i, f in enumerate(futures)]
+    finally:  # after a raise too, no task outlives the call
+        for f in futures:
+            if not f.cancel():  # running or done: wait for it
+                f.exception()
+
+
 def _forward_half(samples: np.ndarray) -> np.ndarray:
     """Half-spectrum coefficients of real samples."""
     _count_transform()
@@ -386,6 +456,14 @@ def _pdata(f: Field) -> np.ndarray:
         out.setflags(write=False)
         f._alt = out
     return f._alt
+
+
+def _pdata_batch(fields) -> list:
+    """`_pdata` of each field; the samples not yet formed are formed as
+    concurrent tasks (`run_tasks`), each writing only its own field."""
+    run_tasks([functools.partial(_pdata, f) for f in fields
+               if f.rep == SPECTRAL and f._alt is None])
+    return [_pdata(f) for f in fields]
 
 
 def to_spectral(f: Field) -> Field:

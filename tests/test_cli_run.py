@@ -5,11 +5,13 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cnslab.spectral as spectral
 from cnslab import verify
 from cnslab.cli import main
 from cnslab.config import parse_config
@@ -116,6 +118,24 @@ class TestExecuteRun:
             state = solver.step(state, solver.SolverConfig(dt=dt, T=dt), solver.PhysicalParams())
         assert containers() == before
 
+    def test_one_core_run_starts_no_thread(self, tmp_path, small_cfg, monkeypatch):
+        execute_run(small_cfg, outdir=tmp_path / "two")
+        # a process that may use one core makes its pool afresh, with no thread
+        monkeypatch.setattr(spectral, "_pool", None)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        started = []
+        start = threading.Thread.start
+
+        def recorded_start(thread):
+            started.append(thread.name)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", recorded_start)
+        execute_run(small_cfg, outdir=tmp_path / "one")
+        assert started == [] and spectral._pool is False
+        for name in ("series.csv", "summary.json", "final.ckpt"):
+            assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
+
     def test_resume_matches_uninterrupted(self, tmp_path):
         half_text = SMALL_CONFIG.replace("T = 0.5", "T = 0.25")
         half_cfg = parse_config(half_text)
@@ -211,6 +231,28 @@ class TestTwinRun:
         base, pert, _ = build_scenario(cfg.scenario, grid, cfg.params)
         series = run_pair(cfg, base.state, pert.state)
         assert series.times == twin.times and series.columns == twin.columns
+
+    def test_pair_run_on_a_thread_finishes(self, tmp_path):
+        # the pair's member 1 holds the worker while member 0's RHS tasks run
+        # inline; a run that deadlocked would never join
+        import test_reference as reference
+
+        errors = []
+
+        def run():
+            try:
+                reference._rerun("twins32", tmp_path)
+            except BaseException as exc:  # reported below, on the test's thread
+                errors.append(exc)
+
+        runner = threading.Thread(target=run, daemon=True)
+        runner.start()
+        runner.join(timeout=300)
+        assert not runner.is_alive(), "the twin run did not finish"
+        assert errors == []
+        ref_dir = reference.REFERENCE / "twins32"
+        reference.test_series_matches_reference((ref_dir, tmp_path))
+        reference.test_summary_matches_reference((ref_dir, tmp_path))
 
     def test_summary_holds_json_values_only(self, twin_and_single):
         for _, summary in twin_and_single:

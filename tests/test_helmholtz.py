@@ -6,7 +6,9 @@ import pytest
 
 from cnslab.helmholtz import (
     auxiliary_w,
+    compressible_part,
     effective_flux,
+    incompressible_part,
     lambda_power,
     material_derivative,
     project,
@@ -21,6 +23,7 @@ from cnslab.spectral import (
     gradient,
     laplacian,
     lebesgue_norm,
+    make_grid,
     mean_value,
     random_field,
     to_physical,
@@ -55,6 +58,15 @@ class TestProjection:
         lhs = lebesgue_norm(spl.P, 2) ** 2 + lebesgue_norm(spl.Q, 2) ** 2
         rhs = lebesgue_norm(u, 2) ** 2  # mean-free random components
         assert abs(lhs - rhs) <= 1e-10 * rhs
+
+    @pytest.mark.parametrize("n, dim", [(16, 3), (24, 2)])
+    def test_single_parts_are_the_split_bit_for_bit(self, n, dim):
+        # Q u and P u formed alone are the split's parts, bit for bit
+        u = _random_velocity(make_grid(n, 2 * np.pi, dim), seed=21)
+        spl = project(u)
+        for part, whole in ((compressible_part(u), spl.Q), (incompressible_part(u), spl.P)):
+            for got, want in zip(part, whole):
+                assert np.array_equal(got.data, want.data)
 
     def test_projector_algebra(self, grid16):
         u = _random_velocity(grid16, seed=5)

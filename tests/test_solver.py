@@ -1,6 +1,7 @@
 """Right-hand side structure, the compatibility value of u_t, IMEX stepping,
 conservation and fault behavior of the integrator."""
 
+import concurrent.futures
 import math
 import sys
 import threading
@@ -10,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import cnslab.spectral as spectral
 from cnslab.helmholtz import convective_term
 from cnslab.solver import (
     CFLError,
@@ -42,6 +44,7 @@ from cnslab.spectral import (
     make_grid,
     partial_deriv,
     random_field,
+    run_tasks,
     to_physical,
     transform_count,
 )
@@ -104,6 +107,13 @@ epsilon = 0.01
 p0 = 1.0
 seed = 0
 """
+
+
+@pytest.fixture
+def pool_started():
+    """The shared pool's worker, started (a submitted task starts it): a
+    thread count taken after this holds unless something adds a thread."""
+    run_tasks([lambda: None, lambda: None])
 
 
 class TestParams:
@@ -559,7 +569,7 @@ class TestIntegrate:
         assert fault == single
         assert [s.t for s in fin] == [single["time"]] * 2
 
-    def test_twins_step_as_single_runs(self, grid16):
+    def test_twins_step_as_single_runs(self, grid16, pool_started):
         # the members step on two threads and land on their single runs bit
         # for bit; the locked transform count of the pair is the singles' sum
         cfg = SolverConfig(dt=0.02, T=0.2, cadence="uniform:0.1")
@@ -590,7 +600,7 @@ class TestIntegrate:
         with pytest.raises(ValueError, match="distinct"):
             integrate((st, st), SolverConfig(dt=0.02, T=0.04), PARAMS)
 
-    def test_pair_fault_equals_serial_loop(self):
+    def test_pair_fault_equals_serial_loop(self, pool_started):
         cfg = SolverConfig(dt=0.02, T=1.0, cadence="uniform:0.1")
         threads = threading.active_count()
         single = integrate(_outflow_bump(2.0), cfg, PARAMS)[2]
@@ -642,6 +652,105 @@ class TestIntegrate:
         cfg = SolverConfig(dt=0.01, T=0.1, strict_mode=True)
         with pytest.raises(ValueError, match="mu > lambda/2"):
             integrate(FlowState(0.0, st.a, st.u, bad), cfg, bad)
+
+
+class _EachOnItsOwnThread:
+    """A stand-in for the shared pool that runs each submitted task to its
+    end on a new thread at once: every task but the first runs off the
+    calling thread, and before the first."""
+
+    def submit(self, fn):
+        future = concurrent.futures.Future()
+        worker = threading.Thread(target=lambda: future.set_result(fn()))
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+        return future
+
+
+class TestFanOut:
+    @staticmethod
+    def _run(grid, pool, monkeypatch):
+        """rhs_full (da, n, g) of a fresh state and one step of another, and
+        the transforms they made, with `pool` as the shared pool."""
+        monkeypatch.setattr(spectral, "_pool", pool)
+        before = transform_count()
+        r = rhs_full(_small_state(grid, eps=0.2, seed=5), PARAMS)
+        new = step(_small_state(grid, eps=0.2, seed=6), SolverConfig(dt=0.02), PARAMS)
+        arrays = [_sdata(r.da), *r.n, *r.g, new.a.data, *(c.data for c in new.u)]
+        return arrays, transform_count() - before
+
+    @pytest.mark.parametrize("dim", [3, 2])
+    def test_tasks_equal_an_inline_run(self, dim, monkeypatch):
+        # inline: False is the pool of a one-core process, which runs every
+        # task on the caller
+        grid = make_grid(16, 2 * np.pi, dim)
+        shared = spectral._shared_pool()
+        want, want_count = self._run(grid, False, monkeypatch)
+        for pool in (shared, _EachOnItsOwnThread()):
+            got, count = self._run(grid, pool, monkeypatch)
+            assert count == want_count
+            assert all(np.array_equal(x, y) for x, y in zip(got, want))
+
+    def test_concurrent_callers_count_every_transform(self, grid16, pool_started):
+        # four callers share the one worker, with threads switching often: a
+        # lost update of the locked transform count would show as a shortfall
+        states = [_small_state(grid16, eps=0.2, seed=s) for s in range(4)]
+        for st in states:
+            cfl_dt_bound(st, SolverConfig())  # the samples, formed before the count
+        want = [rhs_full(FlowState(0.0, st.a, st.u, PARAMS), PARAMS) for st in states]
+        per_rhs = 22  # as in TestRhsFull::test_shares_the_state_samples
+        got = [None] * 4
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            before = transform_count()
+            callers = [threading.Thread(target=lambda k=k: got.__setitem__(
+                k, rhs_full(states[k], PARAMS)), daemon=True) for k in range(4)]
+            for c in callers:
+                c.start()
+            for c in callers:
+                c.join(timeout=60)
+            assert not any(c.is_alive() for c in callers)
+            assert transform_count() - before == 4 * per_rhs
+        finally:
+            sys.setswitchinterval(switch)
+        for r, w in zip(got, want):
+            assert all(np.array_equal(x, y) for x, y in zip(r.n + r.g, w.n + w.g))
+
+    def test_run_adds_at_most_the_one_worker(self, tmp_path):
+        from cnslab.config import parse_config
+        from cnslab.run import execute_run
+
+        threads = threading.active_count()
+        execute_run(parse_config(_VACUUM_CONFIG.replace("T = 10.0", "T = 0.2")),
+                    outdir=tmp_path)
+        assert threading.active_count() <= threads + 1
+
+    def test_nested_tasks_finish(self):
+        # a task that runs tasks of its own: the busy worker's are run inline
+        def inner(k):
+            return run_tasks([lambda: k, lambda: k + 1, lambda: k + 2])
+
+        got = run_tasks([lambda k=k: inner(k) for k in (0, 10, 20)])
+        assert got == [[0, 1, 2], [10, 11, 12], [20, 21, 22]]
+
+    def test_a_raising_task_leaves_no_task_running(self):
+        done = []
+
+        def slow():
+            threading.Event().wait(0.05)
+            done.append(1)
+
+        def fail():
+            raise ZeroDivisionError
+
+        # the worker's task is waited for, the unstarted one is cancelled
+        with pytest.raises(ZeroDivisionError):
+            run_tasks([fail, slow, slow])
+        finished = len(done)
+        threading.Event().wait(0.2)
+        assert len(done) == finished <= 1
 
 
 class TestStepMemory:
